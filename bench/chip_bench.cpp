@@ -11,9 +11,9 @@
 //     first tiles warm up, then reused for the rest of the chip and for
 //     every later run;
 //   * bounded steady state: the entire second learned run must perform zero
-//     heap allocations, measured with a counting global operator new (the
-//     serve_bench pattern) — warm buffers, pooled polygons and the shared
-//     PredictScratch absorb the whole chip;
+//     heap allocations, measured with the counting global operator new of
+//     count_alloc.hpp (shared with serve_bench) — warm buffers, pooled
+//     polygons and the shared PredictScratch absorb the whole chip;
 //   * the tile ring must hold min(ring_depth, tiles) slots — streaming may
 //     never materialize the chip.
 //
@@ -21,16 +21,15 @@
 // records (contacts/s, dir:"higher") plus a "chip" block with the tiling
 // geometry, per-path rates and gate verdicts. LITHOGAN_BENCH_CHIP_CONFIG=
 // tiny drops to smoke scale (reduced source, 1024 nm tiles, tiny model).
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
-#include <new>
 #include <string>
 #include <vector>
 
 #include "bench_json.hpp"
+#include "count_alloc.hpp"
 #include "chip/layout.hpp"
 #include "chip/pipeline.hpp"
 #include "core/config.hpp"
@@ -42,50 +41,6 @@
 #include "util/timer.hpp"
 
 using namespace lithogan;
-
-// ---------------------------------------------------------------------------
-// Counting allocator: every global new is tallied while the window is open.
-// ---------------------------------------------------------------------------
-
-namespace {
-std::atomic<bool> g_count_allocs{false};
-std::atomic<std::size_t> g_alloc_events{0};
-
-void note_alloc() {
-  if (g_count_allocs.load(std::memory_order_relaxed)) {
-    g_alloc_events.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-}  // namespace
-
-void* operator new(std::size_t n) {
-  note_alloc();
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, std::align_val_t align) {
-  note_alloc();
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                   (n + static_cast<std::size_t>(align) - 1) &
-                                       ~(static_cast<std::size_t>(align) - 1))) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n, std::align_val_t align) {
-  return ::operator new(n, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace {
 
@@ -198,8 +153,7 @@ int main() {
   const std::size_t learned_warm_misses = plan_misses();
   std::size_t learned_contacts = 0;
   std::size_t* learned_counter = &learned_contacts;
-  g_alloc_events.store(0);
-  g_count_allocs.store(true);
+  bench::alloc_count_begin();
   util::Timer learned_timer;
   pipe.run_learned(model,
                    [learned_counter](std::size_t, std::span<const chip::ContactResult> r) {
@@ -207,8 +161,7 @@ int main() {
                    });
   PathSummary learned;
   learned.seconds = learned_timer.elapsed_seconds();
-  g_count_allocs.store(false);
-  const std::size_t learned_steady_allocs = g_alloc_events.load();
+  const std::size_t learned_steady_allocs = bench::alloc_count_end();
   learned.contacts = learned_contacts;
   learned.contacts_per_s =
       static_cast<double>(learned.contacts) / std::max(learned.seconds, 1e-9);

@@ -5,7 +5,7 @@
 // repacking, separate bias/activation sweeps) — against InferencePlan with
 // prepacked weight panels, a liveness-planned activation arena and fused
 // GEMM epilogues, then sweeps the plan's batch size — at fp32 and at every
-// reduced precision (f16, bf16, i8) — and the end-to-end
+// reduced precision (f16, bf16) — and the end-to-end
 // LithoGan::predict_batch pipeline (generator plan + center-CNN plan +
 // recentering).
 //
@@ -14,7 +14,7 @@
 //     module-forward path, and the f16 plan faster than the fp32 plan at
 //     batch 1 (printed OK/MISS, like the table benches' shape checks);
 //   * steady-state infer() calls at a warm batch size must perform zero
-//     arena allocations, for EVERY precision — activation quantization runs
+//     arena allocations, for EVERY precision — 16-bit panel inflation runs
 //     in workspace scratch, never the heap (hard FAIL — deterministic);
 //   * every reduced precision must pass the accuracy gate against the fp32
 //     plan output (eval::compare_outputs vs eval::gate_tolerance).
@@ -149,8 +149,8 @@ int main() {
   nn::Tensor ref_out;  // fp32 output on the batch-4 masks, accuracy reference
   std::vector<std::string> acc_lines;
 
-  for (const math::Dtype dtype : {math::Dtype::kF32, math::Dtype::kF16,
-                                  math::Dtype::kBF16, math::Dtype::kI8}) {
+  for (const math::Dtype dtype :
+       {math::Dtype::kF32, math::Dtype::kF16, math::Dtype::kBF16}) {
     nn::InferencePlan plan;
     // The fp32 plan pins its precision explicitly: it is the bit-exact
     // reference and must not follow a LITHOGAN_INFER_DTYPE override.
@@ -177,9 +177,9 @@ int main() {
                   1.0 / per_clip, module_s / per_clip);
     }
 
-    // Zero-allocation gate per precision: int8's activation quantization and
-    // the 16-bit panel inflation both run in capacity-retaining workspace
-    // scratch, so they are held to the same standard as fp32.
+    // Zero-allocation gate per precision: the 16-bit panel inflation runs in
+    // capacity-retaining workspace scratch, so it is held to the same
+    // standard as fp32.
     const std::size_t delta = steady_state_allocs(plan, mask_sets.back());
     if (delta != 0) {
       zero_alloc = false;

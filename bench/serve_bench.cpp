@@ -32,7 +32,6 @@
 // scale; LITHOGAN_BENCH_SERVE_DURATION=<seconds> sets the per-point
 // duration (default 1.5).
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
@@ -40,12 +39,12 @@
 #include <cstdlib>
 #include <deque>
 #include <mutex>
-#include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_json.hpp"
+#include "count_alloc.hpp"
 #include "core/config.hpp"
 #include "core/lithogan.hpp"
 #include "data/sample.hpp"
@@ -60,50 +59,6 @@
 #include "util/traffic.hpp"
 
 using namespace lithogan;
-
-// ---------------------------------------------------------------------------
-// Counting allocator: every global new is tallied while the window is open.
-// ---------------------------------------------------------------------------
-
-namespace {
-std::atomic<bool> g_count_allocs{false};
-std::atomic<std::size_t> g_alloc_events{0};
-
-void note_alloc() {
-  if (g_count_allocs.load(std::memory_order_relaxed)) {
-    g_alloc_events.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-}  // namespace
-
-void* operator new(std::size_t n) {
-  note_alloc();
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, std::align_val_t align) {
-  note_alloc();
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                   (n + static_cast<std::size_t>(align) - 1) &
-                                       ~(static_cast<std::size_t>(align) - 1))) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n, std::align_val_t align) {
-  return ::operator new(n, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace {
 
@@ -298,15 +253,13 @@ int main() {
   run_burst(false);  // warm: slot images, scratch, arena, static metrics
   run_burst(false);
   const std::uint64_t completed_before = server.stats().completed;
-  g_alloc_events.store(0);
-  g_count_allocs.store(true);
+  bench::alloc_count_begin();
   run_burst(true);  // claims deferred: the window sees no Response copies
   quiesce(completed_before + burst);
-  g_count_allocs.store(false);
+  const std::size_t dispatch_allocs = bench::alloc_count_end();
   for (const auto& t : burst_tickets) (void)server.wait(t);
   armed_exporter.stop();
   obs::set_trace_enabled(false);
-  const std::size_t dispatch_allocs = g_alloc_events.load();
   std::printf("  dispatch-loop allocations over a warm %zu-request burst "
               "(telemetry armed): %zu\n\n",
               burst, dispatch_allocs);

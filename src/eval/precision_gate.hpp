@@ -1,7 +1,7 @@
 // Accuracy gate for reduced-precision inference plans.
 //
 // A reduced-precision InferencePlan (nn::InferencePlan::Precision = f16 /
-// bf16 / i8) trades weight bytes and GEMM bandwidth for rounding error. The
+// bf16) trades weight bytes and GEMM bandwidth for rounding error. The
 // gate quantifies that error against the fp32 plan on the *evaluation*
 // metrics the reproduction actually reports — mean IoU and center error of
 // the binarized resist images (eval::pixel_metrics / eval::center_error) —
@@ -40,7 +40,7 @@ struct GateTolerance {
 /// Default tolerance for `dtype` with env overrides applied. f32 demands
 /// exactness (the default plan is bit-identical to eval-mode forward); the
 /// reduced dtypes widen with the storage error: fp16 keeps 11 significand
-/// bits, bf16 8, int8 roughly 7 bits spread over each channel's range.
+/// bits, bf16 8.
 inline GateTolerance gate_tolerance(math::Dtype dtype) {
   GateTolerance tol;
   switch (dtype) {
@@ -52,9 +52,6 @@ inline GateTolerance gate_tolerance(math::Dtype dtype) {
       break;
     case math::Dtype::kBF16:
       tol = {0.90, 4.0, 0.10};
-      break;
-    case math::Dtype::kI8:
-      tol = {0.85, 6.0, 0.25};
       break;
   }
   if (const char* env = std::getenv("LITHOGAN_ACC_MIN_IOU")) {

@@ -847,62 +847,6 @@ void gemm_rows_prepacked_h(std::size_t r0, std::size_t r1, std::size_t m,
   }
 }
 
-// --- int8 quantized path -----------------------------------------------------
-//
-// The int8 layouts drop the K blocking (panels are a quarter the fp32 size,
-// so an L2-blocked walk buys nothing): packed A row tile t is the contiguous
-// k * kMr range at t * k * kMr p-major, packed B keeps the NR column tiles.
-// Accumulation is int32 — exact, so the result is invariant to any row split
-// by construction — and the dequant (a_scale * b_scale * acc) feeds the
-// standard Epilogue formulas at writeback.
-
-void count_quant_rows(std::size_t rows, std::size_t saturated) {
-  static obs::Counter& passes =
-      obs::Registry::global().counter("quant.absmax_pass");
-  static obs::Counter& sat = obs::Registry::global().counter("quant.saturated");
-  passes.add(rows);
-  if (saturated != 0) sat.add(saturated);
-}
-
-void gemm_s8_rows(std::size_t r0, std::size_t r1, std::size_t n, std::size_t k,
-                  const std::int8_t* packed_a, const float* a_scales,
-                  const std::int8_t* packed_b, const float* b_scales,
-                  float b_scale, float* c, const Epilogue* epi) {
-  const std::size_t jtiles = (n + kNr - 1) / kNr;
-  for (std::size_t i0 = r0; i0 < r1; i0 += kMr) {
-    const std::int8_t* at = packed_a + (i0 / kMr) * k * kMr;
-    const std::size_t rows = std::min(kMr, r1 - i0);
-    for (std::size_t jt = 0; jt < jtiles; ++jt) {
-      const std::int8_t* bt = packed_b + jt * k * kNr;
-      const std::size_t cols = std::min(kNr, n - jt * kNr);
-      std::int32_t acc[kMr * kNr] = {};
-      for (std::size_t p = 0; p < k; ++p) {
-        const std::int8_t* ar = at + p * kMr;
-        const std::int8_t* br = bt + p * kNr;
-        for (std::size_t r = 0; r < kMr; ++r) {
-          const std::int32_t av = ar[r];
-          std::int32_t* dst = acc + r * kNr;
-          for (std::size_t j = 0; j < kNr; ++j) dst[j] += av * br[j];
-        }
-      }
-      for (std::size_t r = 0; r < rows; ++r) {
-        const std::size_t row = i0 + r;
-        const float sa = a_scales[row];
-        float* crow = c + row * n + jt * kNr;
-        const std::int32_t* arow = acc + r * kNr;
-        for (std::size_t j = 0; j < cols; ++j) {
-          const float sb = b_scales != nullptr ? b_scales[jt * kNr + j] : b_scale;
-          float v = static_cast<float>(arow[j]) * (sa * sb);
-          if (epi != nullptr && epi->bias != nullptr) {
-            v += epi->bias_per_row ? epi->bias[row] : epi->bias[jt * kNr + j];
-          }
-          crow[j] = epi != nullptr ? apply_act(v, epi->act, epi->slope) : v;
-        }
-      }
-    }
-  }
-}
-
 template <bool TransA>
 void gemm_driver(std::size_t m, std::size_t n, std::size_t k, float alpha,
                  const float* a, std::size_t lda, const float* packed_b, float beta,
@@ -1224,85 +1168,6 @@ void gemm_packed_bh(std::size_t m, std::size_t n, std::size_t k, float alpha,
   to_float_n(packed_b, packed_b_size(n, k), dtype, bbuf.data());
   gemm_driver<false>(m, n, k, alpha, a, k, bbuf.data(), beta, c, exec,
                      epi.trivial() ? nullptr : &epi);
-}
-
-void pack_a_s8(std::size_t m, std::size_t k, const float* a, std::int8_t* packed,
-               float* row_scales) {
-  std::memset(packed, 0, packed_a_size(m, k));
-  std::size_t saturated = 0;
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* row = a + i * k;
-    float absmax = 0.0f;
-    for (std::size_t p = 0; p < k; ++p) {
-      absmax = std::max(absmax, std::fabs(row[p]));
-    }
-    const float inv = absmax > 0.0f ? 127.0f / absmax : 0.0f;
-    row_scales[i] = absmax > 0.0f ? absmax / 127.0f : 0.0f;
-    std::int8_t* lane = packed + (i / kMr) * k * kMr + (i % kMr);
-    for (std::size_t p = 0; p < k; ++p) {
-      long q = std::lrintf(row[p] * inv);
-      if (q > 127) {
-        q = 127;
-        ++saturated;
-      } else if (q < -127) {
-        q = -127;
-        ++saturated;
-      }
-      lane[p * kMr] = static_cast<std::int8_t>(q);
-    }
-  }
-  count_quant_rows(m, saturated);
-}
-
-void pack_b_t_s8(std::size_t k, std::size_t n, const float* b, std::int8_t* packed,
-                 float* col_scales) {
-  std::memset(packed, 0, packed_b_size(n, k));
-  std::size_t saturated = 0;
-  for (std::size_t j = 0; j < n; ++j) {
-    const float* src = b + j * k;  // logical column j = storage row j
-    float absmax = 0.0f;
-    for (std::size_t p = 0; p < k; ++p) {
-      absmax = std::max(absmax, std::fabs(src[p]));
-    }
-    const float inv = absmax > 0.0f ? 127.0f / absmax : 0.0f;
-    col_scales[j] = absmax > 0.0f ? absmax / 127.0f : 0.0f;
-    std::int8_t* lane = packed + (j / kNr) * k * kNr + (j % kNr);
-    for (std::size_t p = 0; p < k; ++p) {
-      long q = std::lrintf(src[p] * inv);
-      if (q > 127) {
-        q = 127;
-        ++saturated;
-      } else if (q < -127) {
-        q = -127;
-        ++saturated;
-      }
-      lane[p * kNr] = static_cast<std::int8_t>(q);
-    }
-  }
-  count_quant_rows(n, saturated);
-}
-
-void gemm_s8(std::size_t m, std::size_t n, std::size_t k,
-             const std::int8_t* packed_a, const float* a_scales,
-             const std::int8_t* packed_b, const float* b_scales, float b_scale,
-             float* c, const Epilogue& epi, util::ExecContext* exec) {
-  if (m == 0 || n == 0) return;
-  const Epilogue* e = epi.trivial() ? nullptr : &epi;
-  if (k == 0) {
-    scale_c(m, n, 0.0f, c);
-    epilogue_sweep(m, n, c, epi);
-    return;
-  }
-  count_gemm_flops(m, n, k);
-  if (exec == nullptr) {
-    gemm_s8_rows(0, m, n, k, packed_a, a_scales, packed_b, b_scales, b_scale, c, e);
-    return;
-  }
-  exec->parallel_for(0, m, row_grain(exec, m, n * k), 2 * m * n * k,
-                     [&](std::size_t i0, std::size_t i1, util::Workspace&) {
-                       gemm_s8_rows(i0, i1, n, k, packed_a, a_scales, packed_b,
-                                    b_scales, b_scale, c, e);
-                     });
 }
 
 }  // namespace lithogan::math

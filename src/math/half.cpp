@@ -39,7 +39,6 @@ const char* dtype_name(Dtype dtype) {
     case Dtype::kF32: return "f32";
     case Dtype::kF16: return "f16";
     case Dtype::kBF16: return "bf16";
-    case Dtype::kI8: return "i8";
   }
   return "f32";
 }
@@ -53,8 +52,6 @@ bool parse_dtype(const char* name, Dtype& out) {
     out = Dtype::kF16;
   } else if (s == "bf16" || s == "bfloat16") {
     out = Dtype::kBF16;
-  } else if (s == "i8" || s == "int8") {
-    out = Dtype::kI8;
   } else {
     return false;
   }
@@ -66,7 +63,6 @@ std::size_t dtype_bytes(Dtype dtype) {
     case Dtype::kF32: return 4;
     case Dtype::kF16: return 2;
     case Dtype::kBF16: return 2;
-    case Dtype::kI8: return 1;
   }
   return 4;
 }

@@ -1,8 +1,8 @@
 // Reduced-precision scalar formats and conversion kernels.
 //
-// The inference engine stores prepacked weights in fp16, bf16 or int8 to cut
+// The inference engine can store prepacked weights in fp16 or bf16 to halve
 // the bytes streamed per GEMM (the thin-tile serving kernels are
-// bandwidth-bound); compute stays in fp32/int32. This header provides the
+// bandwidth-bound); compute stays in fp32. This header provides the
 // dtype vocabulary plus exact fp32<->fp16 and fp32<->bf16 conversions:
 //
 //  - fp16: IEEE binary16, round-to-nearest-even on narrowing, with the same
@@ -27,18 +27,17 @@ enum class Dtype : std::uint8_t {
   kF32 = 0,  ///< IEEE binary32 (default; bit-identical to module forward)
   kF16 = 1,  ///< IEEE binary16 weights, fp32 accumulate
   kBF16 = 2, ///< bfloat16 weights, fp32 accumulate
-  kI8 = 3,   ///< per-channel symmetric int8 weights, int32 accumulate
 };
 
-/// Short lowercase name ("f32", "f16", "bf16", "i8").
+/// Short lowercase name ("f32", "f16", "bf16").
 const char* dtype_name(Dtype dtype);
 
-/// Parses "f32"/"fp32", "f16"/"fp16"/"half", "bf16", "i8"/"int8" (case
-/// sensitive). Returns false (leaving `out` untouched) for null or unknown
-/// strings, so env overrides can fall back to a default silently.
+/// Parses "f32"/"fp32", "f16"/"fp16"/"half", "bf16" (case sensitive).
+/// Returns false (leaving `out` untouched) for null or unknown strings, so
+/// env overrides can fall back to a default silently.
 bool parse_dtype(const char* name, Dtype& out);
 
-/// Bytes per stored element (4, 2, 2, 1).
+/// Bytes per stored element (4, 2, 2).
 std::size_t dtype_bytes(Dtype dtype);
 
 /// fp32 -> fp16 bits, round-to-nearest-even, matching VCVTPS2PH (values

@@ -48,11 +48,6 @@ std::size_t shape_elems(const std::vector<std::size_t>& shape) {
   return n;
 }
 
-// run_linear int8 scratch: activation panels + per-sample scales, carved out
-// of the plan workspace's float slots (above the conv engine's slots 0/1).
-constexpr std::size_t kQuantPanelSlot = 4;
-constexpr std::size_t kQuantScaleSlot = 5;
-
 }  // namespace
 
 void InferencePlan::set_precision(Precision precision) {
@@ -73,8 +68,6 @@ std::size_t InferencePlan::weight_bytes() const {
     bytes += s.conv_w.weight_bytes();
     bytes += s.packed_w.size() * sizeof(float);
     bytes += s.packed_w16.size() * sizeof(std::uint16_t);
-    bytes += s.packed_w8.size() * sizeof(std::int8_t);
-    bytes += s.w_scales.size() * sizeof(float);
   }
   return bytes;
 }
@@ -224,12 +217,6 @@ InferencePlan::BufId InferencePlan::add_module(Module& layer, BufId in) {
         s.packed_w16.resize(math::packed_b_size(s.out_c, s.in_c));
         math::pack_b_t_h(s.in_c, s.out_c, linear->weight().raw(), precision_,
                          s.packed_w16.data());
-        break;
-      case math::Dtype::kI8:
-        s.packed_w8.resize(math::packed_b_size(s.out_c, s.in_c));
-        s.w_scales.resize(s.out_c);
-        math::pack_b_t_s8(s.in_c, s.out_c, linear->weight().raw(),
-                          s.packed_w8.data(), s.w_scales.data());
         break;
     }
     s.bias.assign(linear->bias().raw(), linear->bias().raw() + s.out_c);
@@ -536,20 +523,6 @@ void InferencePlan::run_linear(const Step& s, std::size_t batch, const float* sr
       math::gemm_packed_bh(batch, s.out_c, s.in_c, 1.0f, src, s.packed_w16.data(),
                            s.wdtype, 0.0f, dst, epi, exec_);
       break;
-    case math::Dtype::kI8: {
-      // Quantize the activation rows into workspace scratch (capacity is
-      // retained: steady-state calls at a warm batch size never allocate).
-      const std::size_t pa_bytes = math::packed_a_size(batch, s.in_c);
-      auto& paf = ws_.floats(kQuantPanelSlot);
-      auto& scales = ws_.floats(kQuantScaleSlot);
-      paf.resize((pa_bytes + 3) / 4);
-      scales.resize(batch);
-      std::int8_t* pa8 = reinterpret_cast<std::int8_t*>(paf.data());
-      math::pack_a_s8(batch, s.in_c, src, pa8, scales.data());
-      math::gemm_s8(batch, s.out_c, s.in_c, pa8, scales.data(), s.packed_w8.data(),
-                    s.w_scales.data(), 0.0f, dst, epi, exec_);
-      break;
-    }
   }
 }
 
@@ -759,31 +732,24 @@ std::string InferencePlan::plan_dump() const {
         name = "concat";
         break;
     }
-    // Weight-bearing steps report their live storage dtype, the packed byte
-    // footprint, and (int8) the per-channel dequant scale range. A step whose
-    // engine route has no reduced path keeps fp32 storage and marks the
-    // requested dtype, e.g. `dtype=f32(req=i8)`.
-    auto weight_info = [&](std::size_t bytes, const std::vector<float>& scales) {
+    // Weight-bearing steps report their live storage dtype and the packed
+    // byte footprint. A step whose engine route has no reduced path keeps
+    // fp32 storage and marks the requested dtype, e.g. `dtype=f32(req=f16)`.
+    auto weight_info = [&](std::size_t bytes) {
       os << " dtype=" << math::dtype_name(s.wdtype);
       if (s.wdtype != precision_) os << "(req=" << math::dtype_name(precision_) << ')';
       os << " bytes=" << bytes;
-      if (s.wdtype == math::Dtype::kI8 && !scales.empty()) {
-        const auto [lo, hi] = std::minmax_element(scales.begin(), scales.end());
-        os << " scale=[" << *lo << ',' << *hi << ']';
-      }
     };
     os << "step " << i << ": " << name;
     if (s.op == Op::kConv || s.op == Op::kDeconv) {
       os << ' ' << s.in_c << 'x' << s.in_h << 'x' << s.in_w << " -> " << s.out_c << 'x'
          << s.out_h << 'x' << s.out_w << " k" << s.kernel << " s" << s.stride << " p"
          << s.pad << " algo=" << math::conv_algo_name(s.conv->algo);
-      weight_info(s.conv_w.weight_bytes(), s.conv_w.scales);
+      weight_info(s.conv_w.weight_bytes());
     } else if (s.op == Op::kLinear) {
       os << ' ' << s.in_c << " -> " << s.out_c;
       weight_info(s.packed_w.size() * sizeof(float) +
-                      s.packed_w16.size() * sizeof(std::uint16_t) +
-                      s.packed_w8.size() + s.w_scales.size() * sizeof(float),
-                  s.w_scales);
+                  s.packed_w16.size() * sizeof(std::uint16_t));
     } else if (s.op != Op::kActivation) {
       os << ' ' << s.in_c << 'x' << s.in_h << 'x' << s.in_w;
     }

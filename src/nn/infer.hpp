@@ -56,11 +56,9 @@ class InferencePlan {
 
   /// Weight storage/compute dtype for the whole plan (math::Dtype). kF32 —
   /// the default — is bit-identical to eval-mode module forward. kF16/kBF16
-  /// store weight panels at 16 bits and accumulate in fp32; kI8 stores
-  /// per-output-channel symmetric int8 weights and dynamically quantizes
-  /// activations per sample. Steps with no reduced execution route (tap-loop
-  /// direct, FFT, int8 deconv) fall back to fp32 storage and say so in
-  /// plan_dump().
+  /// store weight panels at 16 bits and accumulate in fp32. Steps with no
+  /// reduced execution route (tap-loop direct, FFT) fall back to fp32
+  /// storage and say so in plan_dump().
   using Precision = math::Dtype;
 
   InferencePlan() = default;
@@ -74,12 +72,12 @@ class InferencePlan {
   /// Selects the weight dtype for every step added afterwards. Must be
   /// called before any add_module (packing bakes the precision in). The
   /// construction-time default honors the LITHOGAN_INFER_DTYPE env override
-  /// ("f16", "bf16", "i8"; anything else / unset = kF32).
+  /// ("f16", "bf16"; anything else / unset = kF32).
   void set_precision(Precision precision);
   Precision precision() const { return precision_; }
 
-  /// Total bytes of plan-owned packed weights and quantization scales
-  /// (finalized plans; also exported as the infer.weight_bytes gauge).
+  /// Total bytes of plan-owned packed weights (finalized plans; also
+  /// exported as the infer.weight_bytes gauge).
   std::size_t weight_bytes() const;
 
   /// Declares the external input with its per-sample shape, e.g. {C, H, W}.
@@ -160,8 +158,6 @@ class InferencePlan {
     // Plan-owned constants.
     std::vector<float> packed_w;  ///< pre-packed weight panels (linear, fp32)
     std::vector<std::uint16_t> packed_w16;  ///< fp16/bf16 linear panels
-    std::vector<std::int8_t> packed_w8;     ///< int8 linear panels
-    std::vector<float> w_scales;  ///< per-output-feature dequant scales (kI8)
     math::Dtype wdtype = math::Dtype::kF32;  ///< effective linear weight dtype
     std::vector<float> bias;
     std::vector<float> bn_mean, bn_inv_std, bn_gamma, bn_beta;

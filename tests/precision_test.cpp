@@ -5,9 +5,6 @@
 //     RNE midpoint ties, denormals, the 65520 overflow boundary, inf/NaN
 //     (SNaN quieting) — and the bulk converters match the scalars;
 //   * fp32<->bf16 truncate-RNE likewise (ties and NaN quieting);
-//   * int8 symmetric quantization is exact when values are exact multiples
-//     of the absmax/127 scale, and the int8 GEMM's int32 accumulation is
-//     exact (thread-invariant by construction) on integer-valued data;
 //   * an f16 plan over a network equals, bit for bit, an f32 plan over the
 //     same network with its weights round-tripped through f16 — reduced
 //     storage changes *what* is multiplied, never *how*;
@@ -16,7 +13,8 @@
 //     batch-invariant, and actually differs from fp32 (the knob does
 //     something);
 //   * the default precision is kF32 unless LITHOGAN_INFER_DTYPE overrides
-//     it, and set_precision after add_module throws.
+//     it with a known dtype (there is no int8 plan), and set_precision after
+//     add_module throws.
 #include <gtest/gtest.h>
 
 #include <cfenv>
@@ -27,7 +25,6 @@
 
 #include "core/config.hpp"
 #include "core/networks.hpp"
-#include "math/gemm.hpp"
 #include "math/half.hpp"
 #include "nn/infer.hpp"
 #include "nn/module.hpp"
@@ -267,91 +264,6 @@ TEST(Bf16Conversion, BulkMatchesScalar) {
 }
 
 // ---------------------------------------------------------------------------
-// int8 quantization + GEMM
-// ---------------------------------------------------------------------------
-
-TEST(Int8Quant, ExactWhenValuesAreScaleMultiples) {
-  // Rows built as q * 2^-5 with q integer in [-127, 127] and absmax 127:
-  // scale = absmax/127 = 2^-5 exactly, every entry quantizes exactly, so
-  // dequantizing packed lanes reproduces the input bit for bit.
-  const std::size_t m = 5, k = 11;
-  lu::Rng rng(23);
-  std::vector<float> a(m * k);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t p = 0; p < k; ++p) {
-      const int q = p == 0 ? 127 : static_cast<int>(rng.uniform(-127.0, 127.0));
-      a[i * k + p] = static_cast<float>(q) * 0x1p-5f;
-    }
-  }
-  std::vector<std::int8_t> packed(lm::packed_a_size(m, k));
-  std::vector<float> scales(m);
-  lm::pack_a_s8(m, k, a.data(), packed.data(), scales.data());
-  const std::size_t mr = lm::gemm_mr();  // row-tile height of the layout
-  for (std::size_t i = 0; i < m; ++i) {
-    EXPECT_EQ(scales[i], 0x1p-5f) << "row " << i;
-    const std::int8_t* lane = packed.data() + (i / mr) * k * mr + (i % mr);
-    for (std::size_t p = 0; p < k; ++p) {
-      EXPECT_EQ(static_cast<float>(lane[p * mr]) * scales[i], a[i * k + p])
-          << "(" << i << "," << p << ")";
-    }
-  }
-}
-
-TEST(Int8Quant, ZeroRowGetsZeroScale) {
-  const std::size_t m = 2, k = 4;
-  std::vector<float> a(m * k, 0.0f);
-  a[k] = 1.0f;  // second row nonzero
-  std::vector<std::int8_t> packed(lm::packed_a_size(m, k));
-  std::vector<float> scales(m);
-  lm::pack_a_s8(m, k, a.data(), packed.data(), scales.data());
-  EXPECT_EQ(scales[0], 0.0f);
-  EXPECT_GT(scales[1], 0.0f);
-}
-
-TEST(Int8Gemm, ExactAndThreadInvariantOnIntegerData) {
-  // Integer-valued operands scaled by powers of two: quantization is exact
-  // and int32 accumulation is exact, so the int8 GEMM must equal a double-
-  // precision reference to the last bit — serial and 8-thread alike.
-  const std::size_t m = 13, n = 37, k = 29;
-  lu::Rng rng(29);
-  std::vector<float> a(m * k), b(k * n);
-  for (std::size_t i = 0; i < m * k; ++i) {
-    a[i] = static_cast<float>(static_cast<int>(rng.uniform(-127.0, 128.0))) * 0x1p-3f;
-  }
-  a[0] = 127.0f * 0x1p-3f;  // pin every row's absmax scale to a power of two
-  for (std::size_t i = 1; i < m; ++i) a[i * k] = -127.0f * 0x1p-3f;
-  for (std::size_t i = 0; i < k * n; ++i) {
-    b[i] = static_cast<float>(static_cast<int>(rng.uniform(-127.0, 128.0))) * 0x1p-2f;
-  }
-  for (std::size_t j = 0; j < n; ++j) b[j * k] = 127.0f * 0x1p-2f;
-
-  std::vector<std::int8_t> pa(lm::packed_a_size(m, k));
-  std::vector<float> sa(m);
-  lm::pack_a_s8(m, k, a.data(), pa.data(), sa.data());
-  std::vector<std::int8_t> pb(lm::packed_b_size(n, k));
-  std::vector<float> sb(n);
-  lm::pack_b_t_s8(k, n, b.data(), pb.data(), sb.data());
-  // pack_b_t packs the *transposed* operand: logical B here is b^T (n x k
-  // storage), so the reference multiplies a(m,k) by b^T(k,n) via b(n,k).
-  std::vector<float> c(m * n), c_mt(m * n);
-  lm::gemm_s8(m, n, k, pa.data(), sa.data(), pb.data(), sb.data(), 0.0f, c.data());
-  lu::ExecContext exec(8);
-  lm::gemm_s8(m, n, k, pa.data(), sa.data(), pb.data(), sb.data(), 0.0f, c_mt.data(),
-              {}, &exec);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      double ref = 0.0;
-      for (std::size_t p = 0; p < k; ++p) {
-        ref += static_cast<double>(a[i * k + p]) * static_cast<double>(b[j * k + p]);
-      }
-      EXPECT_EQ(c[i * n + j], static_cast<float>(ref)) << "(" << i << "," << j << ")";
-    }
-  }
-  EXPECT_EQ(std::memcmp(c.data(), c_mt.data(), c.size() * sizeof(float)), 0)
-      << "int8 GEMM not thread-invariant";
-}
-
-// ---------------------------------------------------------------------------
 // Plan-level invariants
 // ---------------------------------------------------------------------------
 
@@ -408,12 +320,11 @@ TEST(PlanPrecision, ReducedPlansWithinToleranceOfF32) {
   f32_plan.compile(*net, sample_shape);
 
   // Relative tolerance on the output range, sized to the weight storage
-  // error: fp16 keeps 11 significand bits, bf16 8, int8 ~7 per channel.
+  // error: fp16 keeps 11 significand bits, bf16 8.
   const struct {
     lm::Dtype dtype;
     double rel_tol;
-  } cases[] = {{lm::Dtype::kF16, 0.02}, {lm::Dtype::kBF16, 0.10},
-               {lm::Dtype::kI8, 0.30}};
+  } cases[] = {{lm::Dtype::kF16, 0.02}, {lm::Dtype::kBF16, 0.10}};
   lu::ExecContext exec(8);
   for (const auto& c : cases) {
     ln::InferencePlan plan;
@@ -459,8 +370,7 @@ TEST(PlanPrecision, ReducedPlansThreadAndBatchInvariant) {
   warm_and_eval(*net, sample_shape, rng);
   lu::ExecContext exec(8);
 
-  for (const lm::Dtype dtype :
-       {lm::Dtype::kF16, lm::Dtype::kBF16, lm::Dtype::kI8}) {
+  for (const lm::Dtype dtype : {lm::Dtype::kF16, lm::Dtype::kBF16}) {
     ln::InferencePlan plan;
     plan.set_precision(dtype);
     plan.compile(*net, sample_shape);
@@ -476,9 +386,7 @@ TEST(PlanPrecision, ReducedPlansThreadAndBatchInvariant) {
     // Batch stability: row i of the batched output tracks the single-sample
     // inference of row i to well within the dtype's own rounding scale. The
     // fp32 engine is not bitwise batch-invariant (accumulation shapes vary
-    // with batch), so bitwise equality is not demanded — but int8's
-    // per-sample activation scales must keep the drift at fp32 levels, not
-    // let one sample's range contaminate another's quantization.
+    // with batch), so bitwise equality is not demanded.
     plan.set_exec_context(nullptr);
     const std::size_t sample_elems = serial.size() / 4;
     double out_max = 0.0;
@@ -506,8 +414,15 @@ TEST(PlanPrecision, DefaultIsF32AndEnvOverrides) {
   EXPECT_EQ(ln::InferencePlan().precision(), lm::Dtype::kF32);
   setenv("LITHOGAN_INFER_DTYPE", "bf16", 1);
   EXPECT_EQ(ln::InferencePlan().precision(), lm::Dtype::kBF16);
-  setenv("LITHOGAN_INFER_DTYPE", "i8", 1);
-  EXPECT_EQ(ln::InferencePlan().precision(), lm::Dtype::kI8);
+  // int8 is not a plan dtype: its former spellings fall back to kF32 like
+  // any other unknown string.
+  for (const char* name : {"i8", "int8"}) {
+    setenv("LITHOGAN_INFER_DTYPE", name, 1);
+    EXPECT_EQ(ln::InferencePlan().precision(), lm::Dtype::kF32) << name;
+    lm::Dtype parsed = lm::Dtype::kBF16;
+    EXPECT_FALSE(lm::parse_dtype(name, parsed)) << name;
+    EXPECT_EQ(parsed, lm::Dtype::kBF16) << name;  // left untouched
+  }
   setenv("LITHOGAN_INFER_DTYPE", "not-a-dtype", 1);
   EXPECT_EQ(ln::InferencePlan().precision(), lm::Dtype::kF32);
   unsetenv("LITHOGAN_INFER_DTYPE");

@@ -1,7 +1,7 @@
 // Reduced-precision accuracy gate.
 //
 // Compiles the generator into an fp32 InferencePlan plus one plan per
-// reduced precision (f16, bf16, i8), runs the same input batch through all
+// reduced precision (f16, bf16), runs the same input batch through all
 // of them and gates the deltas with eval::compare_outputs against the
 // per-dtype tolerances (eval::gate_tolerance; override via
 // LITHOGAN_ACC_MIN_IOU / LITHOGAN_ACC_MAX_CENTER / LITHOGAN_ACC_MAX_ABS).
@@ -93,8 +93,7 @@ int main(int argc, char** argv) {
 
   const eval::GateTolerance zero{1.0, 0.0, 0.0};
   bool ok = true;
-  for (const math::Dtype dtype :
-       {math::Dtype::kF16, math::Dtype::kBF16, math::Dtype::kI8}) {
+  for (const math::Dtype dtype : {math::Dtype::kF16, math::Dtype::kBF16}) {
     nn::InferencePlan plan;
     plan.set_precision(dtype);
     plan.compile(gen, sample_shape);
