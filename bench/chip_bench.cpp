@@ -35,7 +35,6 @@
 #include "core/config.hpp"
 #include "core/lithogan.hpp"
 #include "litho/simulator.hpp"
-#include "math/half.hpp"
 #include "util/exec_context.hpp"
 #include "util/logging.hpp"
 #include "util/timer.hpp"
@@ -143,7 +142,7 @@ int main() {
   // pooled buffer; the second run is measured AND counted — the whole chip
   // must stream with zero heap allocations.
   core::LithoGan model(model_cfg, core::Mode::kDualLearning);
-  const std::string dtype = math::dtype_name(model.serving_precision());
+  model.ensure_plans();
   std::map<std::uint32_t, ContactSummary> learned_results;
   pipe.run_learned(model, [&](std::size_t, std::span<const chip::ContactResult> r) {
     for (const chip::ContactResult& x : r) {
@@ -166,15 +165,14 @@ int main() {
   learned.contacts_per_s =
       static_cast<double>(learned.contacts) / std::max(learned.seconds, 1e-9);
   const bool learned_plans_flat = plan_misses() == learned_warm_misses;
-  std::printf("  learned: %7.0f contacts/s (%zu contacts in %.2f s, dtype %s)\n",
-              learned.contacts_per_s, learned.contacts, learned.seconds,
-              dtype.c_str());
+  std::printf("  learned: %7.0f contacts/s (%zu contacts in %.2f s)\n",
+              learned.contacts_per_s, learned.contacts, learned.seconds);
   records.push_back({"chip_learned_contacts_per_s", shape, 1,
-                     learned.contacts_per_s, 0.0, dtype, "higher"});
+                     learned.contacts_per_s, 0.0, "f32", "higher"});
   records.push_back({"chip_learned_ns_per_contact", shape, 1,
                      learned.seconds * 1e9 /
                          static_cast<double>(std::max<std::size_t>(learned.contacts, 1)),
-                     0.0, dtype, "lower"});
+                     0.0, "f32", "lower"});
 
   // (c) ML-vs-golden divergence: printed-state agreement over all contacts,
   // mean |CD delta| over the ones both paths print. Reported, not gated —
@@ -233,7 +231,7 @@ int main() {
       "    \"golden\": {\"contacts_per_s\": %.1f, \"seconds\": %.3f, "
       "\"threads\": %zu},\n"
       "    \"learned\": {\"contacts_per_s\": %.1f, \"seconds\": %.3f, "
-      "\"dtype\": \"%s\"},\n"
+      "\"dtype\": \"f32\"},\n"
       "    \"divergence\": {\"printed_match_frac\": %.4f, "
       "\"mean_cd_delta_nm\": %.3f, \"both_printed\": %zu},\n"
       "    \"gates\": {\"coverage\": %s, \"ring_bounded\": %s, "
@@ -243,7 +241,7 @@ int main() {
       pipe.halo_nm(), pipe.core_nm(), pipe.tiles(), layout.contacts().size(),
       pipe.stats().ring_slots, pipe.stats().ring_bytes, golden.contacts_per_s,
       golden.seconds, exec.threads(), learned.contacts_per_s, learned.seconds,
-      dtype.c_str(), printed_match_frac, mean_cd_delta_nm, both_printed,
+      printed_match_frac, mean_cd_delta_nm, both_printed,
       coverage_ok ? "true" : "false", ring_ok ? "true" : "false",
       learned_steady_allocs, plans_ok ? "true" : "false",
       pass ? "true" : "false");

@@ -49,7 +49,6 @@
 #include "core/lithogan.hpp"
 #include "data/sample.hpp"
 #include "image/ops.hpp"
-#include "math/half.hpp"
 #include "obs/exporter.hpp"
 #include "obs/trace.hpp"
 #include "serve/server.hpp"
@@ -194,7 +193,6 @@ int main() {
                             std::to_string(cfg.image_size) + "x" +
                             std::to_string(cfg.image_size);
   std::vector<bench::BenchRecord> records;
-  const std::string dtype = math::dtype_name(model.serving_precision());
 
   // (a) Batch-1 serial baseline: the throughput ceiling with no batching.
   const std::span<const data::Sample> one(&samples[0], 1);
@@ -208,7 +206,7 @@ int main() {
   const double serial_s = serial_timer.elapsed_seconds() /
                           static_cast<double>(std::max<std::size_t>(serial_iters, 1));
   const double serial_qps = 1.0 / serial_s;
-  records.push_back({"serve_serial_b1", shape, 1, serial_s * 1e9, 0.0, dtype});
+  records.push_back({"serve_serial_b1", shape, 1, serial_s * 1e9, 0.0});
   std::printf("  serial batch-1 baseline: %.1f us/clip, %.0f clips/s\n\n",
               serial_s * 1e6, serial_qps);
 
@@ -279,7 +277,7 @@ int main() {
                 p.qps_offered, p.qps_achieved, p.p50_us, p.p95_us, p.p99_us,
                 static_cast<unsigned long long>(p.rejected), p.mean_batch);
     records.push_back({"serve_p99_load" + std::to_string(i), shape, 1,
-                       p.p99_us * 1e3, 0.0, dtype});
+                       p.p99_us * 1e3, 0.0});
     points.push_back(p);
   }
 
@@ -326,7 +324,7 @@ int main() {
   std::string serve_json = "{\n    \"batch\": " + std::to_string(sc.max_batch) +
                            ", \"wait_us\": " + std::to_string(sc.max_wait_us) +
                            ", \"queue_capacity\": " + std::to_string(sc.queue_capacity) +
-                           ", \"dtype\": \"" + dtype + "\"" +
+                           ", \"dtype\": \"f32\"" +
                            ",\n    \"serial_qps\": " + std::to_string(serial_qps) +
                            ",\n    \"points\": [";
   for (std::size_t i = 0; i < points.size(); ++i) {

@@ -32,7 +32,6 @@
 #include "data/sample.hpp"
 #include "litho/simulator.hpp"
 #include "math/gemm.hpp"
-#include "math/half.hpp"
 #include "serve/server.hpp"
 #include "util/cli.hpp"
 #include "util/exec_context.hpp"
@@ -218,12 +217,10 @@ int main(int argc, char** argv) {
   }
   if (mode == "learned" || mode == "both") {
     const PathReport learned = report_from(pipe, true, &model);
-    std::printf("learned: %7.0f contacts/s (%zu contacts, %zu printed, %.2f s, "
-                "%s weights)\n",
+    std::printf("learned: %7.0f contacts/s (%zu contacts, %zu printed, %.2f s)\n",
                 static_cast<double>(learned.contacts) /
                     std::max(learned.seconds, 1e-9),
-                learned.contacts, learned.printed, learned.seconds,
-                math::dtype_name(model.serving_precision()));
+                learned.contacts, learned.printed, learned.seconds);
   }
   std::printf("ring residency: %zu slots, %.1f KiB peak buffer capacity\n",
               pipe.stats().ring_slots,

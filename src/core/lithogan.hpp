@@ -76,11 +76,11 @@ class LithoGan {
                           std::span<image::Image* const> outputs,
                           PredictScratch& scratch);
 
-  /// Precision the serving plans actually run at: the LITHOGAN_INFER_DTYPE
-  /// request after the load-time accuracy gate (a reduced-precision plan
-  /// that fails eval::gate_tolerance falls back to f32). Compiles plans on
-  /// first call.
-  nn::InferencePlan::Precision serving_precision();
+  /// Compiles the serving plans from the current weights unless they are
+  /// already built. The prediction calls do this lazily; callers that must
+  /// not pay the compile on their first request (serve::Server's
+  /// constructor, the benches' warm-up) call it up front.
+  void ensure_plans();
 
   /// The raw generator output for a (1, C, H, W) mask tensor in [-1, 1],
   /// without the center adjustment.
@@ -115,7 +115,6 @@ class LithoGan {
   bool plans_built_ = false;
 
   std::string gan_tag() const;
-  void ensure_plans();
 };
 
 }  // namespace lithogan::core

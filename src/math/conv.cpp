@@ -595,38 +595,7 @@ PackedConvWeights pack_conv_weights(const ConvPlan& plan, const float* weights) 
 }
 
 std::size_t PackedConvWeights::weight_bytes() const {
-  return panels.size() * sizeof(float) + spectra.size() * sizeof(Complex) +
-         panels16.size() * sizeof(std::uint16_t);
-}
-
-PackedConvWeights pack_conv_weights(const ConvPlan& plan, const float* weights,
-                                    Dtype dtype) {
-  const ConvKey& k = plan.key;
-  // Reduced storage only where a reduced execution route exists; everything
-  // else keeps fp32 and records it (plan_dump shows requested vs effective).
-  Dtype eff = dtype;
-  if (k.dir != ConvDir::kDeconvForward) {
-    const bool gemm_route =
-        plan.algo == ConvAlgo::kIm2col ||
-        (plan.algo == ConvAlgo::kDirect && k.kernel == 1 && k.pad == 0);
-    if (!gemm_route) eff = Dtype::kF32;  // tap-loop direct and FFT read fp32
-  }
-  if (eff == Dtype::kF32) return pack_conv_weights(plan, weights);
-
-  PackedConvWeights out;
-  out.dtype = eff;
-  if (k.dir == ConvDir::kDeconvForward) {
-    out.panels16.resize(packed_a_size(plan.rows, k.in_c));
-    pack_a_t_h(plan.rows, k.in_c, weights, eff, out.panels16.data());
-    return out;
-  }
-  LITHOGAN_REQUIRE(k.dir == ConvDir::kForward,
-                   "pack_conv_weights: only forward plans are prepacked");
-  // For the GEMM-lowered routes the A operand is (out_c, taps); the direct
-  // 1x1 route has taps == in_c == plan.rows, so one shape covers both.
-  out.panels16.resize(packed_a_size(k.out_c, plan.rows));
-  pack_a_h(k.out_c, plan.rows, weights, eff, out.panels16.data());
-  return out;
+  return panels.size() * sizeof(float) + spectra.size() * sizeof(Complex);
 }
 
 // ---------------------------------------------------------------------------
@@ -655,36 +624,6 @@ void run_im2col_forward(const ConvPlan& plan, const float* src, const float* wei
       gemm_packed(k.out_c, plan.cols, plan.rows, 1.0f, weights, col.data(), 0.0f,
                   dst + n * out_elems, epi, inner);
     }
-  }
-}
-
-/// fp16/bf16 forward for the GEMM-lowered routes (im2col and direct 1x1):
-/// the packed 16-bit weight panels go straight into the widening GEMM
-/// kernels, everything else (column emission, epilogue, parallel shape)
-/// matches the fp32 runners.
-void run_reduced16_forward(const ConvPlan& plan, const float* src,
-                           const PackedConvWeights* packed, const Epilogue& epi,
-                           float* dst, std::size_t n0, std::size_t n1,
-                           util::ExecContext* inner, util::Workspace& ws) {
-  const ConvKey& k = plan.key;
-  const std::size_t in_elems = k.in_c * k.in_h * k.in_w;
-  const std::size_t out_elems = k.out_c * plan.cols;
-  if (plan.algo == ConvAlgo::kDirect) {  // 1x1/s1/p0: the input IS the columns
-    for (std::size_t n = n0; n < n1; ++n) {
-      gemm_prepacked_h(k.out_c, plan.cols, k.in_c, 1.0f, packed->panels16.data(),
-                       packed->dtype, src + n * in_elems, 0.0f,
-                       dst + n * out_elems, epi, inner);
-    }
-    return;
-  }
-  auto& col = ws.floats(kColSlot);
-  col.resize(packed_b_size(plan.cols, plan.rows));
-  for (std::size_t n = n0; n < n1; ++n) {
-    im2col_packed(src + n * in_elems, k.in_c, k.in_h, k.in_w, k.kernel, k.stride,
-                  k.pad, col.data());
-    gemm_prepacked_pb_h(k.out_c, plan.cols, plan.rows, 1.0f,
-                        packed->panels16.data(), packed->dtype, col.data(), 0.0f,
-                        dst + n * out_elems, epi, inner);
   }
 }
 
@@ -850,12 +789,7 @@ void conv2d_forward(const ConvPlan& plan, std::size_t batch, const float* src,
 
   const bool batch_parallel = exec != nullptr && batch > 1;
   util::ExecContext* inner = batch_parallel ? nullptr : exec;
-  const bool reduced = packed != nullptr && packed->dtype != Dtype::kF32;
   auto sample = [&](std::size_t n0, std::size_t n1, util::Workspace& ws) {
-    if (reduced) {
-      run_reduced16_forward(plan, src, packed, epi, dst, n0, n1, inner, ws);
-      return;
-    }
     switch (plan.algo) {
       case ConvAlgo::kIm2col:
         run_im2col_forward(plan, src, weights, packed, epi, dst, n0, n1, inner, ws);
@@ -964,10 +898,7 @@ void deconv2d_forward(const ConvPlan& plan, std::size_t batch, const float* src,
       const float* x = src + n * in_elems;
       float* y = dst + n * out_elems;
       // Col = W^T * X...
-      if (packed != nullptr && packed->dtype != Dtype::kF32) {
-        gemm_prepacked_h(rows, cols, k.in_c, 1.0f, packed->panels16.data(),
-                         packed->dtype, x, 0.0f, col.data(), {}, inner);
-      } else if (packed != nullptr) {
+      if (packed != nullptr) {
         gemm_prepacked(rows, cols, k.in_c, 1.0f, packed->panels.data(), x, 0.0f,
                        col.data(), {}, inner);
       } else {

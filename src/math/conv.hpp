@@ -86,17 +86,11 @@ struct ConvKey {
 /// Pre-packed constant weights in the layout `plan->algo` consumes:
 /// micro-kernel A panels for kIm2col / kDirect (a raw row-major copy for
 /// the tap-loop direct variant), per-(oc, ic) kernel spectra for kFft.
-/// Reduced-precision plans fill panels16 (fp16/bf16 lanes, same layout)
-/// instead; `dtype` records which storage is live — kF32 when the requested
-/// precision fell back (tap-loop direct and FFT have no reduced execution
-/// route).
 struct PackedConvWeights {
   std::vector<float> panels;
   std::vector<Complex> spectra;
-  std::vector<std::uint16_t> panels16;
-  Dtype dtype = Dtype::kF32;
 
-  /// Bytes held by whichever storage is live.
+  /// Bytes held by the packed panels and spectra.
   std::size_t weight_bytes() const;
 };
 
@@ -146,12 +140,6 @@ std::vector<ConvAlgo> conv_algo_candidates(const ConvKey& key);
 /// Packs `weights` — (out_c, in_c*k*k) row-major for conv plans,
 /// (in_c, out_c*k*k) for deconv plans — into the layout `plan.algo` wants.
 PackedConvWeights pack_conv_weights(const ConvPlan& plan, const float* weights);
-
-/// Same, with a requested storage dtype. Falls back to kF32 (recorded in the
-/// result's `dtype`) for steps with no reduced execution route: tap-loop
-/// direct and FFT plans.
-PackedConvWeights pack_conv_weights(const ConvPlan& plan, const float* weights,
-                                    Dtype dtype);
 
 // --- execution --------------------------------------------------------------
 //

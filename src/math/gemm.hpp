@@ -16,9 +16,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-
-#include "math/half.hpp"
 
 namespace lithogan::util {
 class ExecContext;
@@ -141,47 +138,6 @@ void gemm_prepacked_pb(std::size_t m, std::size_t n, std::size_t k, float alpha,
                        const float* packed_a, const float* packed_b, float beta,
                        float* c, const Epilogue& epi = {},
                        util::ExecContext* exec = nullptr);
-
-// --- Reduced-precision prepacked weights ------------------------------------
-//
-// Inference weights can be packed at fp16/bf16, halving the bytes streamed
-// per GEMM. The 16-bit layouts are element-for-element identical to the fp32
-// panel layouts above, just stored as 16-bit lanes; kernels widen lanes to
-// fp32 in registers (narrow tiles) or inflate one L1-resident panel block at
-// a time (wide tiles) and then accumulate in fp32, so a 16-bit GEMM is
-// bit-identical to the fp32 GEMM run on roundtripped (fp32 -> 16-bit -> fp32)
-// weights.
-
-/// 16-bit variants of pack_a / pack_a_t / pack_b_t. Element counts and
-/// layouts match packed_a_size / packed_b_size (in elements, not bytes).
-/// dtype must be kF16 or kBF16.
-void pack_a_h(std::size_t m, std::size_t k, const float* a, Dtype dtype,
-              std::uint16_t* packed);
-void pack_a_t_h(std::size_t m, std::size_t k, const float* a, Dtype dtype,
-                std::uint16_t* packed);
-void pack_b_t_h(std::size_t k, std::size_t n, const float* b, Dtype dtype,
-                std::uint16_t* packed);
-
-/// gemm_prepacked / gemm_prepacked_pb with a 16-bit packed A (weights).
-void gemm_prepacked_h(std::size_t m, std::size_t n, std::size_t k, float alpha,
-                      const std::uint16_t* packed_a, Dtype dtype, const float* b,
-                      float beta, float* c, const Epilogue& epi = {},
-                      util::ExecContext* exec = nullptr);
-void gemm_prepacked_pb_h(std::size_t m, std::size_t n, std::size_t k, float alpha,
-                         const std::uint16_t* packed_a, Dtype dtype,
-                         const float* packed_b, float beta, float* c,
-                         const Epilogue& epi = {},
-                         util::ExecContext* exec = nullptr);
-
-/// gemm_packed with a 16-bit packed B (the linear-layer convention: A is the
-/// activation batch, B the prepacked weights). The packed panels are
-/// inflated to fp32 scratch on the calling thread, then the fp32 kernels
-/// run — storage is halved but per-call traffic is not, so this is a
-/// footprint play for linear layers, not a bandwidth one.
-void gemm_packed_bh(std::size_t m, std::size_t n, std::size_t k, float alpha,
-                    const float* a, const std::uint16_t* packed_b, Dtype dtype,
-                    float beta, float* c, const Epilogue& epi = {},
-                    util::ExecContext* exec = nullptr);
 
 /// Name of the micro-kernel the runtime dispatch selected for this process:
 /// "avx512f", "avx2-fma" or "portable". Recorded in bench JSON host

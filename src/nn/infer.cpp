@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <sstream>
@@ -50,24 +49,11 @@ std::size_t shape_elems(const std::vector<std::size_t>& shape) {
 
 }  // namespace
 
-void InferencePlan::set_precision(Precision precision) {
-  LITHOGAN_REQUIRE(steps_.empty() && !finalized_,
-                   "InferencePlan: set_precision after add_module");
-  precision_ = precision;
-}
-
-InferencePlan::Precision InferencePlan::default_precision() {
-  math::Dtype dtype = math::Dtype::kF32;
-  math::parse_dtype(std::getenv("LITHOGAN_INFER_DTYPE"), dtype);
-  return dtype;
-}
-
 std::size_t InferencePlan::weight_bytes() const {
   std::size_t bytes = 0;
   for (const Step& s : steps_) {
     bytes += s.conv_w.weight_bytes();
     bytes += s.packed_w.size() * sizeof(float);
-    bytes += s.packed_w16.size() * sizeof(std::uint16_t);
   }
   return bytes;
 }
@@ -143,8 +129,7 @@ InferencePlan::BufId InferencePlan::add_module(Module& layer, BufId in) {
     s.conv = math::conv_plan(key);
     s.out_h = s.conv->out_h;
     s.out_w = s.conv->out_w;
-    s.conv_w = math::pack_conv_weights(*s.conv, conv->weight().raw(), precision_);
-    s.wdtype = s.conv_w.dtype;
+    s.conv_w = math::pack_conv_weights(*s.conv, conv->weight().raw());
     s.bias.assign(conv->bias().raw(), conv->bias().raw() + s.out_c);
     s.out = new_buffer({s.out_c, s.out_h, s.out_w});
     s.in_elems = buffers_[in].sample_elems;
@@ -185,8 +170,7 @@ InferencePlan::BufId InferencePlan::add_module(Module& layer, BufId in) {
     s.conv = math::conv_plan(key);
     s.out_h = s.conv->out_h;
     s.out_w = s.conv->out_w;
-    s.conv_w = math::pack_conv_weights(*s.conv, deconv->weight().raw(), precision_);
-    s.wdtype = s.conv_w.dtype;
+    s.conv_w = math::pack_conv_weights(*s.conv, deconv->weight().raw());
     s.bias.assign(deconv->bias().raw(), deconv->bias().raw() + s.out_c);
     s.out = new_buffer({s.out_c, s.out_h, s.out_w});
     s.in_elems = buffers_[in].sample_elems;
@@ -205,20 +189,9 @@ InferencePlan::BufId InferencePlan::add_module(Module& layer, BufId in) {
     s.in_c = linear->in_features();
     s.out_c = linear->out_features();
     // y = x W^T: the (out, in) weight is the transposed-B operand of
-    // gemm_bt; pre-pack its panels once, in the plan's precision.
-    s.wdtype = precision_;
-    switch (precision_) {
-      case math::Dtype::kF32:
-        s.packed_w.resize(math::packed_b_size(s.out_c, s.in_c));
-        math::pack_b_t(s.in_c, s.out_c, linear->weight().raw(), s.packed_w.data());
-        break;
-      case math::Dtype::kF16:
-      case math::Dtype::kBF16:
-        s.packed_w16.resize(math::packed_b_size(s.out_c, s.in_c));
-        math::pack_b_t_h(s.in_c, s.out_c, linear->weight().raw(), precision_,
-                         s.packed_w16.data());
-        break;
-    }
+    // gemm_bt; pre-pack its panels once.
+    s.packed_w.resize(math::packed_b_size(s.out_c, s.in_c));
+    math::pack_b_t(s.in_c, s.out_c, linear->weight().raw(), s.packed_w.data());
     s.bias.assign(linear->bias().raw(), linear->bias().raw() + s.out_c);
     s.out = new_buffer({s.out_c});
     s.in_elems = buffers_[in].sample_elems;
@@ -513,17 +486,8 @@ void InferencePlan::run_linear(const Step& s, std::size_t batch, const float* sr
   epi.bias_per_row = false;  // linear bias broadcasts along C's columns
   epi.act = s.act;
   epi.slope = s.slope;
-  switch (s.wdtype) {
-    case math::Dtype::kF32:
-      math::gemm_packed(batch, s.out_c, s.in_c, 1.0f, src, s.packed_w.data(), 0.0f,
-                        dst, epi, exec_);
-      break;
-    case math::Dtype::kF16:
-    case math::Dtype::kBF16:
-      math::gemm_packed_bh(batch, s.out_c, s.in_c, 1.0f, src, s.packed_w16.data(),
-                           s.wdtype, 0.0f, dst, epi, exec_);
-      break;
-  }
+  math::gemm_packed(batch, s.out_c, s.in_c, 1.0f, src, s.packed_w.data(), 0.0f, dst,
+                    epi, exec_);
 }
 
 void InferencePlan::run_batchnorm(const Step& s, std::size_t batch, const float* src,
@@ -732,24 +696,15 @@ std::string InferencePlan::plan_dump() const {
         name = "concat";
         break;
     }
-    // Weight-bearing steps report their live storage dtype and the packed
-    // byte footprint. A step whose engine route has no reduced path keeps
-    // fp32 storage and marks the requested dtype, e.g. `dtype=f32(req=f16)`.
-    auto weight_info = [&](std::size_t bytes) {
-      os << " dtype=" << math::dtype_name(s.wdtype);
-      if (s.wdtype != precision_) os << "(req=" << math::dtype_name(precision_) << ')';
-      os << " bytes=" << bytes;
-    };
     os << "step " << i << ": " << name;
     if (s.op == Op::kConv || s.op == Op::kDeconv) {
       os << ' ' << s.in_c << 'x' << s.in_h << 'x' << s.in_w << " -> " << s.out_c << 'x'
          << s.out_h << 'x' << s.out_w << " k" << s.kernel << " s" << s.stride << " p"
          << s.pad << " algo=" << math::conv_algo_name(s.conv->algo);
-      weight_info(s.conv_w.weight_bytes());
+      os << " bytes=" << s.conv_w.weight_bytes();
     } else if (s.op == Op::kLinear) {
       os << ' ' << s.in_c << " -> " << s.out_c;
-      weight_info(s.packed_w.size() * sizeof(float) +
-                  s.packed_w16.size() * sizeof(std::uint16_t));
+      os << " bytes=" << s.packed_w.size() * sizeof(float);
     } else if (s.op != Op::kActivation) {
       os << ' ' << s.in_c << 'x' << s.in_h << 'x' << s.in_w;
     }
