@@ -114,19 +114,12 @@ int main() {
   infer_plan.compile(infer_net, {4, 32, 32});
   const auto infer_x = nn::Tensor::randn({8, 4, 32, 32}, rng);
 
-  // Conv engine via a cost-model plan (batch 8, 3->64 at 64x64): the
+  // Conv engine via its cached plan (batch 8, 3->64 at 64x64): the
   // engine's own two-level dispatch — batch-parallel outer, serial inner —
   // exercised directly at the math layer rather than through a module.
   const std::size_t ce_in_c = 3, ce_hw = 64, ce_out_c = 64, ce_k = 5;
-  math::ConvKey ce_key;
-  ce_key.in_c = ce_in_c;
-  ce_key.in_h = ce_hw;
-  ce_key.in_w = ce_hw;
-  ce_key.out_c = ce_out_c;
-  ce_key.kernel = ce_k;
-  ce_key.stride = 2;
-  ce_key.pad = 2;
-  const auto ce_plan = math::conv_plan(ce_key);
+  const auto ce_plan = math::conv_plan(
+      {math::ConvDir::kForward, ce_in_c, ce_hw, ce_hw, ce_out_c, ce_k, 2, 2, 0});
   std::vector<float> ce_src(8 * ce_in_c * ce_hw * ce_hw);
   std::vector<float> ce_w(ce_out_c * ce_in_c * ce_k * ce_k);
   std::vector<float> ce_bias(ce_out_c);

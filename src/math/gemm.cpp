@@ -706,10 +706,6 @@ void pack_a_full(std::size_t m, std::size_t k, const float* a, std::size_t lda,
 
 }  // namespace
 
-void apply_epilogue(std::size_t m, std::size_t n, float* c, const Epilogue& epi) {
-  epilogue_sweep(m, n, c, epi);
-}
-
 std::size_t gemm_nr() { return kNr; }
 
 const char* simd_level() {
@@ -768,8 +764,6 @@ void gemm_packed(std::size_t m, std::size_t n, std::size_t k, float alpha,
   gemm_driver<false>(m, n, k, alpha, a, k, packed_b, beta, c, exec,
                      epi.trivial() ? nullptr : &epi);
 }
-
-std::size_t gemm_mr() { return kMr; }
 
 std::size_t packed_a_size(std::size_t m, std::size_t k) {
   // + 8 floats of tail slack: the narrow micro-kernels load a full 8-lane

@@ -27,9 +27,9 @@ namespace lithogan::math {
 void gemm(std::size_t m, std::size_t n, std::size_t k, float alpha, const float* a,
           const float* b, float beta, float* c, util::ExecContext* exec = nullptr);
 
-/// C = alpha * A^T(k x m stored as m rows of k? no: A is k x m row-major,
-/// used as its transpose) * B(k x n) + beta * C(m x n).
-/// Convenient for weight-gradient computation without materializing A^T.
+/// C = alpha * A^T * B(k x n) + beta * C(m x n), where A is stored k x m
+/// row-major and used as its transpose (logical m x k). Convenient for
+/// gradient computation without materializing A^T.
 void gemm_at(std::size_t m, std::size_t n, std::size_t k, float alpha, const float* a,
              const float* b, float beta, float* c, util::ExecContext* exec = nullptr);
 
@@ -82,12 +82,6 @@ struct Epilogue {
   bool trivial() const { return bias == nullptr && act == Activation::kIdentity; }
 };
 
-/// Standalone epilogue sweep over a row-major C (m x n): bias broadcast
-/// then activation, with the exact scalar formulas the fused kernels use.
-/// Lets non-GEMM writebacks (direct/FFT conv paths) round identically to a
-/// fused GEMM producing the same accumulator values.
-void apply_epilogue(std::size_t m, std::size_t n, float* c, const Epilogue& epi);
-
 /// gemm_packed with a fused epilogue (A packed on the fly per call — the
 /// per-sample activations path, e.g. Linear where A is the input batch).
 void gemm_packed(std::size_t m, std::size_t n, std::size_t k, float alpha,
@@ -104,9 +98,6 @@ void gemm_packed(std::size_t m, std::size_t n, std::size_t k, float alpha,
 // is the row-tile count. Within a block of depth kc, row tile t is the
 // contiguous kc * MR range at t * kc * MR, laid out p-major (element
 // (p0 + p, t*MR + r) at offset p*MR + r); rows past m are zero-filled.
-
-/// Height of one packed-A row tile (MR of the micro-kernel).
-std::size_t gemm_mr();
 
 /// Number of floats a packed A of logical shape (m x k) occupies (includes
 /// a small zeroed tail the thin-tile kernels may load past the last tile).

@@ -120,13 +120,10 @@ InferencePlan::BufId InferencePlan::add_module(Module& layer, BufId in) {
     s.stride = conv->stride();
     s.pad = conv->pad();
     s.out_c = conv->out_channels();
-    // Resolve the engine plan (threads=1: the thread budget never changes
-    // the algorithm, and exec may be attached after compile) and snapshot
-    // the weights prepacked in the chosen algorithm's layout.
-    const math::ConvKey key{math::ConvDir::kForward, s.in_c,   s.in_h, s.in_w,
-                            s.out_c,                 s.kernel, s.stride, s.pad,
-                            1,                       0,        true,     1};
-    s.conv = math::conv_plan(key);
+    // Resolve the engine plan (the one the module itself runs) and snapshot
+    // the weights prepacked into GEMM panels.
+    s.conv = math::conv_plan({math::ConvDir::kForward, s.in_c, s.in_h, s.in_w, s.out_c,
+                              s.kernel, s.stride, s.pad, 0});
     s.out_h = s.conv->out_h;
     s.out_w = s.conv->out_w;
     s.conv_w = math::pack_conv_weights(*s.conv, conv->weight().raw());
@@ -155,19 +152,9 @@ InferencePlan::BufId InferencePlan::add_module(Module& layer, BufId in) {
     // Engine plan (validates the adjoint geometry) + prepacked weights:
     // the deconv GEMM is Col = W^T * X, so the (in, out*k*k) weight packs
     // as the transposed A operand once instead of per call.
-    const math::ConvKey key{math::ConvDir::kDeconvForward,
-                            s.in_c,
-                            s.in_h,
-                            s.in_w,
-                            s.out_c,
-                            s.kernel,
-                            s.stride,
-                            s.pad,
-                            1,
-                            deconv->output_pad(),
-                            true,
-                            1};
-    s.conv = math::conv_plan(key);
+    s.conv = math::conv_plan({math::ConvDir::kDeconvForward, s.in_c, s.in_h, s.in_w,
+                              s.out_c, s.kernel, s.stride, s.pad,
+                              deconv->output_pad()});
     s.out_h = s.conv->out_h;
     s.out_w = s.conv->out_w;
     s.conv_w = math::pack_conv_weights(*s.conv, deconv->weight().raw());
@@ -700,8 +687,7 @@ std::string InferencePlan::plan_dump() const {
     if (s.op == Op::kConv || s.op == Op::kDeconv) {
       os << ' ' << s.in_c << 'x' << s.in_h << 'x' << s.in_w << " -> " << s.out_c << 'x'
          << s.out_h << 'x' << s.out_w << " k" << s.kernel << " s" << s.stride << " p"
-         << s.pad << " algo=" << math::conv_algo_name(s.conv->algo);
-      os << " bytes=" << s.conv_w.weight_bytes();
+         << s.pad << " bytes=" << s.conv_w.weight_bytes();
     } else if (s.op == Op::kLinear) {
       os << ' ' << s.in_c << " -> " << s.out_c;
       os << " bytes=" << s.packed_w.size() * sizeof(float);

@@ -6,11 +6,10 @@
 // runs bias/activation as separate sweeps. The plan walks a network once at
 // load time and compiles it into a flat step program:
 //
-//   * every conv / deconv step resolves a math::conv engine plan (which
-//     bakes the algorithm choice — im2col / direct / fft — into the step;
-//     see plan_dump()) and prepacks its weights in the layout that
-//     algorithm wants, exactly once; linear weights pre-pack into GEMM
-//     panels (math::pack_b_t) the same way;
+//   * every conv / deconv step resolves the math::conv engine plan its
+//     module runs (geometry and deconv gather tables) and prepacks its
+//     weights into GEMM panels exactly once; linear weights pre-pack into
+//     GEMM panels (math::pack_b_t) the same way;
 //   * a conv/linear immediately followed by an activation has bias +
 //     activation fused into the GEMM epilogue (math::Epilogue); a batchnorm
 //     absorbs it into its per-channel affine sweep; a deconv fuses bias +
@@ -113,10 +112,8 @@ class InferencePlan {
   };
   ArenaStats arena_stats() const;
 
-  /// Human-readable step listing: one line per step with its geometry and,
-  /// for conv/deconv steps, the engine algorithm the plan baked in
-  /// (`algo=im2col|direct|fft`) — so a bit-identity failure is attributable
-  /// to a specific step's algorithm choice.
+  /// Human-readable step listing: one line per step with its geometry, the
+  /// packed weight bytes of weight-bearing steps and any fused activation.
   std::string plan_dump() const;
 
   bool finalized() const { return finalized_; }
@@ -144,8 +141,8 @@ class InferencePlan {
     std::vector<float> packed_w;  ///< pre-packed weight panels (linear)
     std::vector<float> bias;
     std::vector<float> bn_mean, bn_inv_std, bn_gamma, bn_beta;
-    // Conv/deconv steps: the engine plan (algorithm choice, geometry,
-    // gather tables) and the weights prepacked in that algorithm's layout.
+    // Conv/deconv steps: the engine plan (geometry, gather tables) and the
+    // weights prepacked into GEMM panels.
     std::shared_ptr<const math::ConvPlan> conv;
     math::PackedConvWeights conv_w;
   };

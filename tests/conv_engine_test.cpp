@@ -1,19 +1,19 @@
 // Convolution-engine gates (math/conv.hpp):
 //
-//   * every algorithm a geometry admits (im2col / direct / fft, via the
-//     forced-plan overload) agrees with a naive double-accumulated
-//     cross-correlation reference within tolerance on prime/odd shapes;
-//   * each algorithm is individually bit-identical across thread counts
-//     (serial, 1, 2 and 8) and between raw and prepacked weights;
+//   * the im2col engine agrees with a naive double-accumulated
+//     cross-correlation reference within tolerance on prime/odd shapes
+//     (including 1x1 and an 11x11 kernel), and deconv with the naive
+//     scatter form;
+//   * it is bit-identical across thread counts (serial, 1, 2 and 8) and
+//     between raw and prepacked weights;
 //   * the plan cache actually reuses plans (conv.plan_cache.{hit,miss}
-//     counter deltas plus shared_ptr identity);
-//   * LITHOGAN_CONV_ALGO forces an algorithm where it is a candidate and
-//     falls back to the cost model where it is not;
-//   * algorithm selection is a function of geometry + direction only —
-//     keys differing in `prepacked` or `threads` pick the same algorithm.
+//     counter deltas plus shared_ptr identity), and a layer's forward,
+//     backward and compiled serving step share one plan;
+//   * nn::Conv2d forward is exactly im2col + GEMM + bias sweep, also on the
+//     PatchGAN discriminator head's shape.
 //
 // Tier2-labelled: `ctest -L tier2` under -DLITHOGAN_SANITIZE=address|thread
-// sweeps the engine's packing and spectral scratch paths with sanitizers.
+// sweeps the engine's packing paths with sanitizers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,11 +24,16 @@
 
 #include "math/conv.hpp"
 #include "math/gemm.hpp"
+#include "nn/conv.hpp"
+#include "nn/infer.hpp"
+#include "nn/sequential.hpp"
 #include "obs/metrics.hpp"
 #include "util/exec_context.hpp"
+#include "util/rng.hpp"
 #include "util/workspace.hpp"
 
 namespace lm = lithogan::math;
+namespace ln = lithogan::nn;
 namespace lu = lithogan::util;
 namespace lo = lithogan::obs;
 
@@ -58,7 +63,7 @@ double eval_act_d(lm::Activation act, double v, double slope) {
 }
 
 // Straightforward cross-correlation with zero padding, accumulated in
-// double; bias + activation applied in double. The float engines must land
+// double; bias + activation applied in double. The float engine must land
 // within `tol` (relative to the per-tensor max magnitude) of this.
 std::vector<double> naive_conv(const std::vector<float>& src, std::size_t in_c,
                                std::size_t h, std::size_t w,
@@ -167,26 +172,15 @@ struct Geometry {
   std::size_t in_c, h, w, out_c, k, stride, pad;
 };
 
-// Runs the forced-`algo` forward plan for `g` over `batch` samples.
-std::vector<float> run_forward(const Geometry& g, lm::ConvAlgo algo, std::size_t batch,
+// Runs the forward plan for `g` over `batch` samples.
+std::vector<float> run_forward(const Geometry& g, std::size_t batch,
                                const std::vector<float>& src,
                                const std::vector<float>& weights,
                                const std::vector<float>& bias, lm::Activation act,
                                float slope, lu::ExecContext* exec,
                                bool use_prepacked = false) {
-  lm::ConvKey key;
-  key.dir = lm::ConvDir::kForward;
-  key.in_c = g.in_c;
-  key.in_h = g.h;
-  key.in_w = g.w;
-  key.out_c = g.out_c;
-  key.kernel = g.k;
-  key.stride = g.stride;
-  key.pad = g.pad;
-  key.prepacked = use_prepacked;
-  key.threads = exec != nullptr ? exec->threads() : 1;
-  const auto plan = lm::conv_plan(key, algo);
-  EXPECT_EQ(plan->algo, algo);
+  const auto plan = lm::conv_plan(
+      {lm::ConvDir::kForward, g.in_c, g.h, g.w, g.out_c, g.k, g.stride, g.pad, 0});
 
   lm::Epilogue epi;
   epi.bias = bias.data();
@@ -209,16 +203,16 @@ std::vector<float> run_forward(const Geometry& g, lm::ConvAlgo algo, std::size_t
 
 }  // namespace
 
-// Every algorithm the geometry admits must agree with the naive reference.
-// Shapes use prime/odd extents so no tile or power-of-two boundary lines up
-// by accident; the fused bias + leaky-ReLU epilogue rides along everywhere.
-TEST(ConvEngine, AllAlgorithmsMatchNaiveReferenceOnPrimeShapes) {
+// The engine must agree with the naive reference. Shapes use prime/odd
+// extents so no tile or power-of-two boundary lines up by accident; the
+// fused bias + leaky-ReLU epilogue rides along everywhere.
+TEST(ConvEngine, MatchesNaiveReferenceOnPrimeShapes) {
   const Geometry geoms[] = {
-      {3, 17, 13, 5, 5, 1, 2},  // im2col + direct + fft candidates
-      {2, 11, 11, 7, 3, 1, 1},  // small channels, odd grid
-      {4, 13, 17, 6, 5, 2, 2},  // strided: im2col + fft
-      {5, 7, 7, 3, 1, 1, 0},    // 1x1: im2col + direct (same GEMM operands)
-      {1, 29, 29, 1, 11, 1, 5},  // large kernel, fft's home turf
+      {3, 17, 13, 5, 5, 1, 2},   // stride 1, 5x5
+      {2, 11, 11, 7, 3, 1, 1},   // small channels, odd grid
+      {4, 13, 17, 6, 5, 2, 2},   // strided
+      {5, 7, 7, 3, 1, 1, 0},     // 1x1
+      {1, 29, 29, 1, 11, 1, 5},  // large kernel
   };
   for (const Geometry& g : geoms) {
     const std::vector<float> src = synth_vec(g.in_c * g.h * g.w, 11);
@@ -227,26 +221,9 @@ TEST(ConvEngine, AllAlgorithmsMatchNaiveReferenceOnPrimeShapes) {
     const std::vector<double> want =
         naive_conv(src, g.in_c, g.h, g.w, weights, g.out_c, g.k, g.stride, g.pad,
                    bias, lm::Activation::kLeakyRelu, 0.2f);
-
-    lm::ConvKey key;
-    key.in_c = g.in_c;
-    key.in_h = g.h;
-    key.in_w = g.w;
-    key.out_c = g.out_c;
-    key.kernel = g.k;
-    key.stride = g.stride;
-    key.pad = g.pad;
-    const std::vector<lm::ConvAlgo> algos = lm::conv_algo_candidates(key);
-    ASSERT_FALSE(algos.empty());
-    for (const lm::ConvAlgo algo : algos) {
-      const std::vector<float> got =
-          run_forward(g, algo, 1, src, weights, bias, lm::Activation::kLeakyRelu,
-                      0.2f, nullptr);
-      // fft accumulates in the double spectral domain, direct/im2col in
-      // float — both comfortably inside 1e-4 of the double reference at
-      // these magnitudes.
-      expect_close(got, want, 1e-4, lm::conv_algo_name(algo));
-    }
+    const std::vector<float> got = run_forward(
+        g, 1, src, weights, bias, lm::Activation::kLeakyRelu, 0.2f, nullptr);
+    expect_close(got, want, 1e-4, "conv");
   }
 }
 
@@ -284,37 +261,23 @@ TEST(ConvEngine, DeconvMatchesNaiveScatterReference) {
   expect_close(dst, want, 1e-4, "deconv");
 }
 
-// Per-algorithm bit-identity across thread counts: the chunked dispatch may
-// change which thread computes a sample, never what it computes. Batch 5 so
-// the batch-parallel outer level engages; serial (no context) is the
-// reference.
-TEST(ConvEngine, EachAlgorithmBitIdenticalAcrossThreadCounts) {
+// Bit-identity across thread counts: the chunked dispatch may change which
+// thread computes a sample, never what it computes. Batch 5 so the
+// batch-parallel outer level engages; serial (no context) is the reference.
+TEST(ConvEngine, BitIdenticalAcrossThreadCounts) {
   const Geometry g{3, 17, 13, 5, 5, 1, 2};
   const std::size_t batch = 5;
   const std::vector<float> src = synth_vec(batch * g.in_c * g.h * g.w, 211);
   const std::vector<float> weights = synth_vec(g.out_c * g.in_c * g.k * g.k, 2111);
   const std::vector<float> bias = synth_vec(g.out_c, 9643);
 
-  lm::ConvKey key;
-  key.in_c = g.in_c;
-  key.in_h = g.h;
-  key.in_w = g.w;
-  key.out_c = g.out_c;
-  key.kernel = g.k;
-  key.stride = g.stride;
-  key.pad = g.pad;
-  for (const lm::ConvAlgo algo : lm::conv_algo_candidates(key)) {
-    const std::vector<float> ref =
-        run_forward(g, algo, batch, src, weights, bias, lm::Activation::kTanh, 0.2f,
-                    nullptr);
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-      lu::ExecContext exec(threads);
-      const std::vector<float> got =
-          run_forward(g, algo, batch, src, weights, bias, lm::Activation::kTanh, 0.2f,
-                      &exec);
-      EXPECT_TRUE(bit_equal(got, ref))
-          << lm::conv_algo_name(algo) << ", threads=" << threads;
-    }
+  const std::vector<float> ref =
+      run_forward(g, batch, src, weights, bias, lm::Activation::kTanh, 0.2f, nullptr);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    lu::ExecContext exec(threads);
+    const std::vector<float> got =
+        run_forward(g, batch, src, weights, bias, lm::Activation::kTanh, 0.2f, &exec);
+    EXPECT_TRUE(bit_equal(got, ref)) << "threads=" << threads;
   }
 }
 
@@ -325,36 +288,20 @@ TEST(ConvEngine, PrepackedWeightsBitIdenticalToRaw) {
   const std::vector<float> weights = synth_vec(g.out_c * g.in_c * g.k * g.k, 3301);
   const std::vector<float> bias = synth_vec(g.out_c, 11003);
 
-  lm::ConvKey key;
-  key.in_c = g.in_c;
-  key.in_h = g.h;
-  key.in_w = g.w;
-  key.out_c = g.out_c;
-  key.kernel = g.k;
-  key.stride = g.stride;
-  key.pad = g.pad;
-  for (const lm::ConvAlgo algo : lm::conv_algo_candidates(key)) {
-    const std::vector<float> raw = run_forward(
-        g, algo, 1, src, weights, bias, lm::Activation::kSigmoid, 0.2f, nullptr,
-        /*use_prepacked=*/false);
-    const std::vector<float> packed = run_forward(
-        g, algo, 1, src, weights, bias, lm::Activation::kSigmoid, 0.2f, nullptr,
-        /*use_prepacked=*/true);
-    EXPECT_TRUE(bit_equal(raw, packed)) << lm::conv_algo_name(algo);
-  }
+  const std::vector<float> raw =
+      run_forward(g, 1, src, weights, bias, lm::Activation::kSigmoid, 0.2f, nullptr,
+                  /*use_prepacked=*/false);
+  const std::vector<float> packed =
+      run_forward(g, 1, src, weights, bias, lm::Activation::kSigmoid, 0.2f, nullptr,
+                  /*use_prepacked=*/true);
+  EXPECT_TRUE(bit_equal(raw, packed));
 }
 
 // The cache must hand back the same plan object on a repeated key (hit
 // counter moves, miss counter does not) and build at most once per key.
 TEST(ConvEngine, PlanCacheReusesPlans) {
-  lm::ConvKey key;  // geometry unique to this test: nothing else uses 23x19
-  key.in_c = 2;
-  key.in_h = 23;
-  key.in_w = 19;
-  key.out_c = 3;
-  key.kernel = 3;
-  key.stride = 1;
-  key.pad = 1;
+  // Geometry unique to this test: nothing else uses 23x19.
+  const lm::ConvKey key{lm::ConvDir::kForward, 2, 23, 19, 3, 3, 1, 1, 0};
 
   const std::uint64_t miss0 = counter("conv.plan_cache.miss");
   const auto first = lm::conv_plan(key);
@@ -368,97 +315,50 @@ TEST(ConvEngine, PlanCacheReusesPlans) {
   EXPECT_EQ(first.get(), second.get()) << "cache must return the same plan object";
 }
 
-// LITHOGAN_CONV_ALGO wins where the named algorithm is a candidate and
-// defers to the model where it is not. The env is read when a plan is first
-// built, so every probe uses a geometry not seen elsewhere in this process.
-TEST(ConvEngine, EnvOverrideForcesCandidateAlgorithms) {
-  lm::ConvKey key;
-  key.in_c = 3;
-  key.in_h = 31;
-  key.in_w = 37;
-  key.out_c = 41;  // big out_c: the model would pick im2col here
-  key.kernel = 3;
-  key.stride = 1;
-  key.pad = 1;
+// One layer, one plan: the module's forward and backward and the compiled
+// InferencePlan step all resolve the same cache entry, so a fresh geometry
+// costs exactly one plan build per layer.
+TEST(ConvEngine, LayerForwardBackwardAndServingShareOnePlan) {
+  lu::Rng rng(17);
+  ln::Sequential net;
+  net.emplace<ln::Conv2d>(3, 4, 5, 2, 2, rng);             // 3x27x25 -> 4x14x13
+  net.emplace<ln::ConvTranspose2d>(4, 2, 5, 2, 2, 1, rng);  // -> 2x28x26
+  const ln::Tensor x = ln::Tensor::randn({2, 3, 27, 25}, rng);
 
+  const std::uint64_t miss0 = counter("conv.plan_cache.miss");
+  const ln::Tensor y = net.forward(x);
+  EXPECT_EQ(counter("conv.plan_cache.miss"), miss0 + 2) << "one build per layer";
+  net.backward(ln::Tensor(y.shape()));
+  net.set_training(false);
+  ln::InferencePlan plan;
+  plan.compile(net, {3, 27, 25});
+  EXPECT_EQ(counter("conv.plan_cache.miss"), miss0 + 2)
+      << "backward and the serving plan must reuse the forward plans";
+}
+
+// The PatchGAN discriminator head, Conv2d(c -> 1, k5, s1), runs the same
+// im2col + GEMM lowering as every other layer: its forward is bit-identical
+// to im2col, a row-major GEMM and a bias sweep. in_c = 16 puts the GEMM's
+// K at 400, so it spans more than one 256-deep K block. No environment
+// variable selects another algorithm, so LITHOGAN_CONV_ALGO=direct must
+// change nothing.
+TEST(ConvEngine, PatchGanHeadForwardIsIm2colGemm) {
+  const std::size_t in_c = 16, h = 21, w = 19, k = 5, pad = 2;
   ASSERT_EQ(setenv("LITHOGAN_CONV_ALGO", "direct", 1), 0);
-  EXPECT_EQ(lm::conv_plan(key)->algo, lm::ConvAlgo::kDirect);
-
-  // Same override on a strided geometry, where direct is not a candidate:
-  // the model's choice must stand.
-  key.in_h = 37;
-  key.stride = 2;
-  const auto strided = lm::conv_plan(key);
-  EXPECT_NE(strided->algo, lm::ConvAlgo::kDirect);
+  lu::Rng rng(29);
+  ln::Conv2d head(in_c, 1, k, 1, pad, rng);  // geometry unique to this test
+  head.parameters()[1]->value.raw()[0] = 0.37f;  // a nonzero bias to sweep
+  const ln::Tensor x = ln::Tensor::randn({1, in_c, h, w}, rng);
+  const ln::Tensor y = head.forward(x);
   ASSERT_EQ(unsetenv("LITHOGAN_CONV_ALGO"), 0);
 
-  // With the override gone, a fresh geometry goes back to the model: the
-  // chosen algorithm is one of the candidates with the lowest modelled cost.
-  key.in_h = 41;
-  key.stride = 1;
-  const auto modeled = lm::conv_plan(key);
-  const auto candidates = lm::conv_algo_candidates(key);
-  EXPECT_NE(std::find(candidates.begin(), candidates.end(), modeled->algo),
-            candidates.end());
-}
-
-// `prepacked` and `threads` size scratch and dispatch, never the algorithm:
-// that invariance is what keeps InferencePlan output bit-identical to the
-// module forward, and results independent of the thread budget.
-TEST(ConvEngine, SelectionIgnoresPackingAndThreadBudget) {
-  lm::ConvKey key;
-  key.in_c = 2;
-  key.in_h = 43;
-  key.in_w = 43;
-  key.out_c = 5;
-  key.kernel = 5;
-  key.stride = 1;
-  key.pad = 2;
-
-  const auto base = lm::conv_plan(key);
-  key.prepacked = true;
-  const auto packed = lm::conv_plan(key);
-  key.threads = 8;
-  const auto threaded = lm::conv_plan(key);
-  key.prepacked = false;
-  const auto threaded_raw = lm::conv_plan(key);
-
-  EXPECT_EQ(base->algo, packed->algo);
-  EXPECT_EQ(base->algo, threaded->algo);
-  EXPECT_EQ(base->algo, threaded_raw->algo);
-}
-
-// The model's scores are recorded on the plan for exactly this kind of
-// check: a candidate only wins by costing less, and non-candidates carry a
-// zero score.
-TEST(ConvEngine, CostModelScoresAreCoherent) {
-  lm::ConvKey key;
-  key.in_c = 1;
-  key.in_h = 53;
-  key.in_w = 53;
-  key.out_c = 1;
-  key.kernel = 13;
-  key.stride = 1;
-  key.pad = 6;
-
-  const auto plan = lm::conv_plan(key);
-  EXPECT_GT(plan->cost_im2col, 0.0);  // im2col is always a candidate
-  if (plan->algo == lm::ConvAlgo::kDirect) {
-    EXPECT_GT(plan->cost_direct, 0.0);
-    EXPECT_LT(plan->cost_direct, plan->cost_im2col);
-  } else if (plan->algo == lm::ConvAlgo::kFft) {
-    EXPECT_GT(plan->cost_fft, 0.0);
-    EXPECT_LT(plan->cost_fft, plan->cost_im2col);
-  }
-
-  // Stride kills direct candidacy (score stays zero), and on a heavily
-  // strided many-channel shape the GEMM lowering beats the spectral path.
-  key.in_c = 8;
-  key.out_c = 16;
-  key.kernel = 4;
-  key.stride = 4;
-  key.pad = 0;
-  const auto strided = lm::conv_plan(key);
-  EXPECT_EQ(strided->algo, lm::ConvAlgo::kIm2col);
-  EXPECT_EQ(strided->cost_direct, 0.0);
+  const std::size_t rows = in_c * k * k;
+  const std::size_t cols = h * w;  // stride 1, "same" padding
+  ASSERT_EQ(y.size(), cols);
+  std::vector<float> col(rows * cols);
+  lm::im2col(x.raw(), in_c, h, w, k, 1, pad, col.data());
+  std::vector<float> want(cols);
+  lm::gemm(1, cols, rows, 1.0f, head.weight().raw(), col.data(), 0.0f, want.data());
+  for (float& v : want) v += head.bias().raw()[0];
+  EXPECT_TRUE(bit_equal(std::vector<float>(y.raw(), y.raw() + y.size()), want));
 }
