@@ -38,7 +38,6 @@ struct BenchRecord {
   std::size_t threads = 1;
   double ns_per_iter = 0.0;
   double gflops_per_s = 0.0;
-  std::string dtype = "f32";  ///< weight/compute dtype of this row
   /// Regression direction of ns_per_iter for cross-run comparison: "lower"
   /// (the default — a time, bigger is worse) or "higher" (a rate such as
   /// contacts/s stored in ns_per_iter's slot, smaller is worse). The op
@@ -101,9 +100,8 @@ inline void dump_value(std::FILE* f, const obs::json::Value& v) {
 }
 
 inline std::string record_key(const std::string& op, const std::string& shape,
-                              std::size_t threads, const std::string& dtype) {
-  return op + '|' + shape + '|' + std::to_string(threads) + '|' +
-         (dtype.empty() ? "f32" : dtype);
+                              std::size_t threads) {
+  return op + '|' + shape + '|' + std::to_string(threads);
 }
 
 }  // namespace detail
@@ -114,7 +112,7 @@ inline std::string record_key(const std::string& op, const std::string& shape,
 ///
 /// Merge semantics: when `path` already holds a bench JSON, the result is a
 /// single document with ONE host block — new records replace existing rows
-/// with the same (op, shape, threads, dtype) key, every other existing row
+/// with the same (op, shape, threads) key, every other existing row
 /// is kept (speedup_vs_1t is recomputed over the merged set), and top-level
 /// blocks another bench wrote (e.g. "serve") are carried through untouched.
 /// So several benches pointed at one file — or one bench re-run — compose
@@ -142,7 +140,7 @@ inline bool write_bench_json(const std::string& path,
 
   std::set<std::string> new_keys;
   for (const BenchRecord& r : records) {
-    new_keys.insert(detail::record_key(r.op, r.shape, r.threads, r.dtype));
+    new_keys.insert(detail::record_key(r.op, r.shape, r.threads));
   }
   std::vector<BenchRecord> merged;
   if (const obs::json::Value* old = existing.get("records"); old && old->is_array()) {
@@ -154,13 +152,11 @@ inline bool write_bench_json(const std::string& path,
       if (const auto* v = entry->get("threads")) {
         b.threads = static_cast<std::size_t>(v->number);
       }
-      if (const auto* v = entry->get("dtype")) b.dtype = v->string;
-      if (b.dtype.empty()) b.dtype = "f32";
       if (const auto* v = entry->get("ns_per_iter")) b.ns_per_iter = v->number;
       if (const auto* v = entry->get("gflops_per_s")) b.gflops_per_s = v->number;
       if (const auto* v = entry->get("dir")) b.dir = v->string;
       if (b.dir.empty()) b.dir = "lower";
-      if (new_keys.count(detail::record_key(b.op, b.shape, b.threads, b.dtype)) == 0) {
+      if (new_keys.count(detail::record_key(b.op, b.shape, b.threads)) == 0) {
         merged.push_back(std::move(b));
       }
     }
@@ -178,10 +174,9 @@ inline bool write_bench_json(const std::string& path,
         (base > 0.0 && r.ns_per_iter > 0.0) ? base / r.ns_per_iter : 0.0;
     std::fprintf(f,
                  "    {\"op\": \"%s\", \"shape\": \"%s\", \"threads\": %zu, "
-                 "\"dtype\": \"%s\", \"dir\": \"%s\", \"ns_per_iter\": %.3f, "
+                 "\"dir\": \"%s\", \"ns_per_iter\": %.3f, "
                  "\"gflops_per_s\": %.3f, \"speedup_vs_1t\": %.3f}%s\n",
                  r.op.c_str(), r.shape.c_str(), r.threads,
-                 r.dtype.empty() ? "f32" : r.dtype.c_str(),
                  r.dir.empty() ? "lower" : r.dir.c_str(), r.ns_per_iter,
                  r.gflops_per_s, speedup, i + 1 < merged.size() ? "," : "");
   }

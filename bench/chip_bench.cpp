@@ -132,11 +132,11 @@ int main() {
               golden.contacts_per_s, golden.contacts, golden.seconds,
               exec.threads());
   records.push_back({"chip_golden_contacts_per_s", shape, exec.threads(),
-                     golden.contacts_per_s, 0.0, "f64", "higher"});
+                     golden.contacts_per_s, 0.0, "higher"});
   records.push_back({"chip_golden_ns_per_contact", shape, exec.threads(),
                      golden.seconds * 1e9 /
                          static_cast<double>(std::max<std::size_t>(golden.contacts, 1)),
-                     0.0, "f64", "lower"});
+                     0.0, "lower"});
 
   // (b) Learned path: warm run compiles the inference plans and grows every
   // pooled buffer; the second run is measured AND counted — the whole chip
@@ -168,11 +168,11 @@ int main() {
   std::printf("  learned: %7.0f contacts/s (%zu contacts in %.2f s)\n",
               learned.contacts_per_s, learned.contacts, learned.seconds);
   records.push_back({"chip_learned_contacts_per_s", shape, 1,
-                     learned.contacts_per_s, 0.0, "f32", "higher"});
+                     learned.contacts_per_s, 0.0, "higher"});
   records.push_back({"chip_learned_ns_per_contact", shape, 1,
                      learned.seconds * 1e9 /
                          static_cast<double>(std::max<std::size_t>(learned.contacts, 1)),
-                     0.0, "f32", "lower"});
+                     0.0, "lower"});
 
   // (c) ML-vs-golden divergence: printed-state agreement over all contacts,
   // mean |CD delta| over the ones both paths print. Reported, not gated —
@@ -230,8 +230,7 @@ int main() {
       "\"contacts\": %zu, \"ring_slots\": %zu, \"ring_bytes\": %zu,\n"
       "    \"golden\": {\"contacts_per_s\": %.1f, \"seconds\": %.3f, "
       "\"threads\": %zu},\n"
-      "    \"learned\": {\"contacts_per_s\": %.1f, \"seconds\": %.3f, "
-      "\"dtype\": \"f32\"},\n"
+      "    \"learned\": {\"contacts_per_s\": %.1f, \"seconds\": %.3f},\n"
       "    \"divergence\": {\"printed_match_frac\": %.4f, "
       "\"mean_cd_delta_nm\": %.3f, \"both_printed\": %zu},\n"
       "    \"gates\": {\"coverage\": %s, \"ring_bounded\": %s, "

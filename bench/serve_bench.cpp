@@ -324,7 +324,6 @@ int main() {
   std::string serve_json = "{\n    \"batch\": " + std::to_string(sc.max_batch) +
                            ", \"wait_us\": " + std::to_string(sc.max_wait_us) +
                            ", \"queue_capacity\": " + std::to_string(sc.queue_capacity) +
-                           ", \"dtype\": \"f32\"" +
                            ",\n    \"serial_qps\": " + std::to_string(serial_qps) +
                            ",\n    \"points\": [";
   for (std::size_t i = 0; i < points.size(); ++i) {

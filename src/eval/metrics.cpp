@@ -83,23 +83,4 @@ double center_error(const image::Image& golden, const image::Image& predicted) {
   return geometry::distance(g, p);
 }
 
-double EpeResult::max() const { return std::max({left, right, top, bottom}); }
-
-EpeResult edge_placement_error(const image::Image& printed,
-                               const geometry::Rect& target_px) {
-  LITHOGAN_REQUIRE(!target_px.is_empty(), "EPE needs a non-empty target");
-  EpeResult r;
-  const geometry::Rect pb = pattern_bbox(printed);
-  if (pb.is_empty()) return r;
-  // pattern_bbox returns inclusive pixel indices; convert to pixel-edge
-  // coordinates so widths are comparable with the drawn target.
-  const geometry::Rect printed_box{{pb.lo.x, pb.lo.y}, {pb.hi.x + 1.0, pb.hi.y + 1.0}};
-  r.left = std::abs(printed_box.lo.x - target_px.lo.x);
-  r.right = std::abs(printed_box.hi.x - target_px.hi.x);
-  r.bottom = std::abs(printed_box.lo.y - target_px.lo.y);
-  r.top = std::abs(printed_box.hi.y - target_px.hi.y);
-  r.valid = true;
-  return r;
-}
-
 }  // namespace lithogan::eval

@@ -42,25 +42,4 @@ EdeResult edge_displacement_error(const image::Image& golden,
 /// — the CNN center-prediction error of Sec. 4.1.
 double center_error(const image::Image& golden, const image::Image& predicted);
 
-/// Edge placement error (Sec. 2): unlike EDE, EPE compares a printed
-/// contour against the *design target*, at measurement points on the
-/// target's edges. Measurement points are the midpoints of the four target
-/// edges; the error per point is the Manhattan distance along the edge
-/// normal to the printed contour's bounding box.
-struct EpeResult {
-  double left = 0.0;
-  double right = 0.0;
-  double top = 0.0;
-  double bottom = 0.0;
-  bool valid = false;
-
-  double mean() const { return (left + right + top + bottom) / 4.0; }
-  double max() const;
-};
-
-/// EPE of a printed contour (largest blob of `printed`) against an
-/// axis-aligned design target given in the same pixel coordinates.
-EpeResult edge_placement_error(const image::Image& printed,
-                               const geometry::Rect& target_px);
-
 }  // namespace lithogan::eval

@@ -1,27 +1,12 @@
-// Image transforms used by the data pipeline: resizing between the physical
-// simulation grid and the network resolution, cropping the resist window,
-// shifting patterns for the dual-learning re-centering step, and drawing
-// rectangles when rendering mask clips.
+// Image transforms used by the data pipeline: sub-pixel shifting for the
+// dual-learning re-centering step, drawing rectangles when rendering mask
+// clips, and the mean absolute difference between two images.
 #pragma once
 
 #include "geometry/primitives.hpp"
 #include "image/image.hpp"
 
 namespace lithogan::image {
-
-/// Nearest-neighbor resize to out_height x out_width.
-Image resize_nearest(const Image& src, std::size_t out_height, std::size_t out_width);
-
-/// Bilinear resize (half-pixel centers) to out_height x out_width.
-Image resize_bilinear(const Image& src, std::size_t out_height, std::size_t out_width);
-
-/// Copies the window starting at (x0, y0) of size height x width. Pixels
-/// sampled outside `src` are `fill`. Negative origins are allowed.
-Image crop(const Image& src, std::ptrdiff_t x0, std::ptrdiff_t y0, std::size_t height,
-           std::size_t width, float fill = 0.0f);
-
-/// Translates by an integer pixel offset, filling vacated pixels with `fill`.
-Image shift(const Image& src, std::ptrdiff_t dx, std::ptrdiff_t dy, float fill = 0.0f);
 
 /// Translates by a fractional pixel offset with bilinear resampling
 /// (out-of-range samples read `fill`). Binary images come back with soft
@@ -41,13 +26,5 @@ void fill_rect(Image& img, std::size_t c, const geometry::Rect& rect, float valu
 
 /// Per-pixel |a - b| averaged over all channels and pixels.
 double mean_absolute_difference(const Image& a, const Image& b);
-
-/// Remaps values linearly so that [in_lo, in_hi] -> [out_lo, out_hi],
-/// clamping outside the input range.
-Image normalize(const Image& src, float in_lo, float in_hi, float out_lo, float out_hi);
-
-/// Centroid (x, y) of channel `c` treated as a nonnegative density, in pixel
-/// coordinates. Returns the image center if the channel is all zero.
-geometry::Point centroid_of_channel(const Image& img, std::size_t c);
 
 }  // namespace lithogan::image

@@ -62,7 +62,7 @@ TEST(ThresholdFit, AsymmetricPatternGivesDistinctThresholds) {
   // a higher intensity than the right edge.
   const auto aerial = bump(32, 16.0, 16.0, 6.0, 6.0);
   auto golden = threshold_image(aerial, 0.25f);
-  golden = li::shift(golden, 2, 0);
+  golden = li::shift_bilinear(golden, 2.0, 0.0);
   lb::Thresholds t{};
   ASSERT_TRUE(lb::fit_golden_thresholds(aerial, golden, t));
   EXPECT_GT(t[0], t[1]);  // left edge intensity > right edge intensity

@@ -442,28 +442,6 @@ struct Quadratic {
 };
 }  // namespace
 
-TEST(Optimizer, SgdConvergesOnQuadratic) {
-  Quadratic q;
-  ln::Sgd opt({&q.w}, 0.1f);
-  for (int i = 0; i < 100; ++i) {
-    opt.zero_grad();
-    q.compute_grad();
-    opt.step();
-  }
-  EXPECT_NEAR(q.w.value[0], 3.0f, 1e-3f);
-}
-
-TEST(Optimizer, SgdMomentumConverges) {
-  Quadratic q;
-  ln::Sgd opt({&q.w}, 0.05f, 0.9f);
-  for (int i = 0; i < 200; ++i) {
-    opt.zero_grad();
-    q.compute_grad();
-    opt.step();
-  }
-  EXPECT_NEAR(q.w.value[0], 3.0f, 1e-2f);
-}
-
 TEST(Optimizer, AdamConvergesOnQuadratic) {
   Quadratic q;
   ln::Adam opt({&q.w}, 0.1f, 0.9f, 0.999f);
@@ -489,7 +467,7 @@ TEST(Optimizer, ZeroGradClears) {
   Quadratic q;
   q.compute_grad();
   EXPECT_NE(q.w.grad[0], 0.0f);
-  ln::Sgd opt({&q.w}, 0.1f);
+  ln::Adam opt({&q.w});
   opt.zero_grad();
   EXPECT_FLOAT_EQ(q.w.grad[0], 0.0f);
 }

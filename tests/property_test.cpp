@@ -208,7 +208,7 @@ TEST_P(EdeShiftSweep, MeanEqualsHalfManhattanShift) {
   for (std::size_t y = 18; y < 30; ++y) {
     for (std::size_t x = 16; x < 32; ++x) img.at(0, y, x) = 1.0f;
   }
-  const auto shifted = image::shift(img, dx, dy);
+  const auto shifted = image::shift_bilinear(img, dx, dy);
   const auto r = eval::edge_displacement_error(img, shifted);
   ASSERT_TRUE(r.valid);
   // A rigid shift moves both x-edges by |dx| and both y-edges by |dy|.
@@ -234,7 +234,7 @@ TEST(MetricMonotonicity, LargerShiftsScoreWorse) {
   double prev_iou = 1.1;
   double prev_acc = 1.1;
   for (const int shift : {0, 2, 4, 8, 12}) {
-    const auto m = eval::pixel_metrics(img, image::shift(img, shift, 0));
+    const auto m = eval::pixel_metrics(img, image::shift_bilinear(img, shift, 0));
     EXPECT_LT(m.mean_iou, prev_iou);
     EXPECT_LE(m.pixel_accuracy, prev_acc + 1e-12);
     prev_iou = m.mean_iou;
@@ -280,7 +280,7 @@ TEST_P(ShiftRoundTrip, InteriorRestored) {
   util::Rng rng(3);
   image::Image img(1, 32, 32);
   for (float& v : img.data()) v = static_cast<float>(rng.uniform(0, 1));
-  const auto back = image::shift(image::shift(img, dx, dy), -dx, -dy);
+  const auto back = image::shift_bilinear(image::shift_bilinear(img, dx, dy), -dx, -dy);
   for (std::size_t y = 8; y < 24; ++y) {
     for (std::size_t x = 8; x < 24; ++x) {
       EXPECT_FLOAT_EQ(back.at(0, y, x), img.at(0, y, x));

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
@@ -172,6 +173,15 @@ TEST(ThreadPool, DispatchCostIsConfigurable) {
                       total.fetch_add(static_cast<int>(e - b));
                     });
   EXPECT_EQ(total.load(), 128);
+}
+
+// The dispatch gate is set only through set_dispatch_cost(); the
+// environment has no say in it.
+TEST(ThreadPool, DispatchCostIgnoresEnvironment) {
+  ::setenv("LITHOGAN_DISPATCH_COST", "0", /*overwrite=*/1);
+  const lu::ThreadPool pool(2);
+  ::unsetenv("LITHOGAN_DISPATCH_COST");
+  EXPECT_EQ(pool.dispatch_cost(), lu::ThreadPool::kDefaultDispatchCost);
 }
 
 TEST(Workspace, ReferencesSurviveHigherSlotCreation) {

@@ -1,5 +1,5 @@
 // Regression diff for two BENCH_*.json files (bench/bench_json.hpp
-// schema). Rows are matched by their (op, shape, threads, dtype) key; a
+// schema). Rows are matched by their (op, shape, threads) key; a
 // matched row regresses when the candidate's ns_per_iter exceeds the
 // baseline's by more than --max-regress-pct percent. Unmatched rows on
 // either side are reported but never fail the comparison — benches grow
@@ -35,7 +35,7 @@ struct Row {
 
 struct BenchDoc {
   std::string host;  ///< "cpus=N simd=..." summary for mismatch reporting
-  std::map<std::string, Row> rows;  ///< keyed by op|shape|threads|dtype
+  std::map<std::string, Row> rows;  ///< keyed by op|shape|threads
 };
 
 BenchDoc parse_bench(const Value& root, const std::string& label) {
@@ -62,13 +62,8 @@ BenchDoc parse_bench(const Value& root, const std::string& label) {
     if (op == nullptr || shape == nullptr || threads == nullptr || ns == nullptr) {
       continue;
     }
-    std::string dtype = "f32";
-    if (const Value* d = entry->get("dtype"); d != nullptr && !d->string.empty()) {
-      dtype = d->string;
-    }
     const std::string key = op->string + '|' + shape->string + '|' +
-                            std::to_string(static_cast<long long>(threads->number)) +
-                            '|' + dtype;
+                            std::to_string(static_cast<long long>(threads->number));
     Row row;
     row.value = ns->number;
     if (const Value* dir = entry->get("dir")) {
@@ -136,25 +131,25 @@ int selftest() {
   };
   const BenchDoc base = doc(
       "{\"host\": {\"cpus\": 1, \"simd\": \"scalar\"}, \"records\": ["
-      "{\"op\": \"gemm\", \"shape\": \"256\", \"threads\": 1, \"dtype\": \"f32\","
+      "{\"op\": \"gemm\", \"shape\": \"256\", \"threads\": 1,"
       " \"ns_per_iter\": 1000.0},"
-      "{\"op\": \"gemm\", \"shape\": \"512\", \"threads\": 1, \"dtype\": \"f32\","
+      "{\"op\": \"gemm\", \"shape\": \"512\", \"threads\": 1,"
       " \"ns_per_iter\": 8000.0},"
-      "{\"op\": \"conv\", \"shape\": \"64\", \"threads\": 2, \"dtype\": \"f16\","
+      "{\"op\": \"conv\", \"shape\": \"64\", \"threads\": 2,"
       " \"ns_per_iter\": 500.0},"
-      "{\"op\": \"chip_rate\", \"shape\": \"4096\", \"threads\": 1, \"dtype\": \"f32\","
+      "{\"op\": \"chip_rate\", \"shape\": \"4096\", \"threads\": 1,"
       " \"dir\": \"higher\", \"ns_per_iter\": 1000.0},"
       "{\"op\": \"retired\", \"shape\": \"1\", \"threads\": 1,"
       " \"ns_per_iter\": 10.0}]}");
   const BenchDoc cand = doc(
       "{\"host\": {\"cpus\": 1, \"simd\": \"scalar\"}, \"records\": ["
-      "{\"op\": \"gemm\", \"shape\": \"256\", \"threads\": 1, \"dtype\": \"f32\","
+      "{\"op\": \"gemm\", \"shape\": \"256\", \"threads\": 1,"
       " \"ns_per_iter\": 1040.0},"  // +4%: within a 5% budget, over a 2% one
-      "{\"op\": \"gemm\", \"shape\": \"512\", \"threads\": 1, \"dtype\": \"f32\","
+      "{\"op\": \"gemm\", \"shape\": \"512\", \"threads\": 1,"
       " \"ns_per_iter\": 7000.0},"  // improvement: never a regression
-      "{\"op\": \"conv\", \"shape\": \"64\", \"threads\": 2, \"dtype\": \"f16\","
+      "{\"op\": \"conv\", \"shape\": \"64\", \"threads\": 2,"
       " \"ns_per_iter\": 800.0},"   // +60%: regression under any sane budget
-      "{\"op\": \"chip_rate\", \"shape\": \"4096\", \"threads\": 1, \"dtype\": \"f32\","
+      "{\"op\": \"chip_rate\", \"shape\": \"4096\", \"threads\": 1,"
       " \"dir\": \"higher\", \"ns_per_iter\": 960.0},"  // -4% rate: only a 2% budget trips
       "{\"op\": \"new\", \"shape\": \"9\", \"threads\": 1,"
       " \"ns_per_iter\": 3.0}]}");
@@ -171,13 +166,13 @@ int selftest() {
   check(loose.regressions.empty(), "no regressions at +100%");
   CompareResult tight = compare(base, cand, 5.0);
   check(tight.regressions.size() == 1, "one regression at 5% (conv only)");
-  check(tight.regressions[0].find("conv|64|2|f16") != std::string::npos,
+  check(tight.regressions[0].find("conv|64|2") != std::string::npos,
         "regression names the conv row");
   CompareResult strict = compare(base, cand, 2.0);
   check(strict.regressions.size() == 3, "three regressions at 2%");
   bool chip_flagged = false;
   for (const std::string& r : strict.regressions) {
-    chip_flagged = chip_flagged || r.find("chip_rate|4096|1|f32") != std::string::npos;
+    chip_flagged = chip_flagged || r.find("chip_rate|4096|1") != std::string::npos;
   }
   check(chip_flagged, "a dropped dir:higher rate counts as a regression");
   check(compare(base, base, 0.0).regressions.empty(), "self-compare is clean");
@@ -193,7 +188,7 @@ int main(int argc, char** argv) {
   cli.add_flag("base", "", "baseline bench JSON")
       .add_flag("candidate", "", "candidate bench JSON to judge against the baseline")
       .add_flag("max-regress-pct", "10",
-                "allowed ns_per_iter growth per matched (op,shape,threads,dtype) "
+                "allowed ns_per_iter growth per matched (op,shape,threads) "
                 "row, in percent")
       .add_flag("selftest", "0", "run the in-memory comparison selftest and exit");
   if (!cli.parse(argc, argv)) {
